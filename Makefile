@@ -51,9 +51,10 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# race runs the suite under the race detector. The event kernel hands the
-# single execution token between proc goroutines, so this should stay
-# silent; it guards the handoff itself (signals, timeouts, retransmits).
+# race runs the suite under the race detector. The event kernel switches
+# between proc coroutines (iter.Pull, which carries race annotations) and
+# reaps them on helper goroutines, so this should stay silent; it guards
+# the handoff itself (signals, timeouts, retransmits, Shutdown).
 race:
 	$(GO) test -race ./...
 

@@ -34,6 +34,10 @@ const ClockMHz = 150
 // NSPerCycle converts cycles to nanoseconds.
 const NSPerCycle = 1e3 / ClockMHz
 
+// maxLineSize bounds the cache line a local miss stages on the stack;
+// the 21064 and the workstation L2 both use 32-byte lines.
+const maxLineSize = 64
+
 // Costs are the core issue costs in cycles.
 type Costs struct {
 	LoadHit    sim.Time // cache-hit load (throughput cost)
@@ -156,7 +160,7 @@ func (c *CPU) load(p *sim.Proc, va int64, size int) uint64 {
 		//lint:allow hotalloc the remote path allocates only per-miss line staging and a conflict-stall wait; steady cached hits are allocation-free
 		return c.loadRemote(p, pa, size)
 	}
-	//lint:allow hotalloc the local path allocates only per-miss line staging and the poison-trap error; per-hit loads are allocation-free
+	//lint:allow hotalloc the local path allocates only the poison-trap error; per-hit and per-miss loads are allocation-free
 	return c.loadLocal(p, addr.Offset(pa), pa, size)
 }
 
@@ -174,9 +178,12 @@ func (c *CPU) loadLocal(p *sim.Proc, off, pa int64, size int) uint64 {
 // the data is clean) instead of panicking — the primitive under both
 // the trapping loads and Load64Checked.
 func (c *CPU) loadLocalChecked(p *sim.Proc, off, pa int64, size int) (uint64, int64) {
-	// Word-sized staging on the stack: per-access heap traffic on the
-	// load path would dominate the simulated costs being measured.
+	// Word- and line-sized staging on the stack: per-access heap traffic
+	// on the load path would dominate the simulated costs being measured.
+	// The stack is the running proc's own, so a line latched before the
+	// ECC penalty wait survives other procs' misses on this CPU.
 	var wordBuf [8]byte
+	var lineBuf [maxLineSize]byte
 	buf := wordBuf[:size]
 	if c.L1.Lookup(pa) {
 		if c.L1.ParityBad(pa) {
@@ -197,7 +204,7 @@ func (c *CPU) loadLocalChecked(p *sim.Proc, off, pa int64, size int) (uint64, in
 	// Miss: the 21064 stalls a load that conflicts with a pending write
 	// buffer entry (exact physical line match only — synonyms escape).
 	c.WB.WaitNoConflict(p, pa)
-	line := make([]byte, c.L1.Config().LineSize)
+	line := lineBuf[:c.L1.Config().LineSize]
 	lineAddr := c.L1.LineAddr(pa)
 	lineOff := c.L1.LineAddr(off)
 	if c.L2 != nil {

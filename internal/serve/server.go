@@ -448,9 +448,18 @@ func (s *Server) wallLimit(j *Job) time.Duration {
 	return s.cfg.DefaultWallLimit
 }
 
-// finish marks a job terminal, journals the outcome, and releases its
-// dedup slot.
+// finish releases a job's dedup slot, marks it terminal, and journals
+// the outcome.
 func (s *Server) finish(j *Job, res JobResult, err error) {
+	// Release the slot before publishing the terminal state: a result is
+	// already cached, so a client that saw this job finish and resubmits
+	// is a cache hit, not a dedup onto a job whose done record is still
+	// being journaled.
+	s.mu.Lock()
+	if s.byKey[j.Key] == j {
+		delete(s.byKey, j.Key)
+	}
+	s.mu.Unlock()
 	var rec *Record
 	if err == nil {
 		j.Result = res
@@ -496,11 +505,6 @@ func (s *Server) finish(j *Job, res JobResult, err error) {
 			s.ckpts.SweepJob(j.ID)
 		}
 	}
-	s.mu.Lock()
-	if s.byKey[j.Key] == j {
-		delete(s.byKey, j.Key)
-	}
-	s.mu.Unlock()
 	close(j.done)
 }
 

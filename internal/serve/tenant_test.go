@@ -386,13 +386,18 @@ func TestHTTPTenantRouting(t *testing.T) {
 		return st
 	}
 
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":301}`, "alice"); st.Tenant != "alice" {
+	posted := []JobStatus{
+		post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":301}`, "alice"),
+		post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":302,"tenant":"bob"}`, "alice"),
+		post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":303}`, ""),
+	}
+	if st := posted[0]; st.Tenant != "alice" {
 		t.Errorf("header tenant: job tenant %q, want alice", st.Tenant)
 	}
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":302,"tenant":"bob"}`, "alice"); st.Tenant != "bob" {
+	if st := posted[1]; st.Tenant != "bob" {
 		t.Errorf("body tenant must win: job tenant %q, want bob", st.Tenant)
 	}
-	if st := post(`{"app":"em3d","pes":2,"nodes_per_pe":8,"degree":2,"iters":1,"seed":303}`, ""); st.Tenant != DefaultTenant {
+	if st := posted[2]; st.Tenant != DefaultTenant {
 		t.Errorf("unlabeled submit: job tenant %q, want %q", st.Tenant, DefaultTenant)
 	}
 
@@ -407,6 +412,16 @@ func TestHTTPTenantRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid tenant name: status %d, want 400", resp.StatusCode)
+	}
+
+	// Let the posted jobs finish first, so the admission window they
+	// occupy cannot shed the submit below.
+	for _, st := range posted {
+		j, err := s.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitJob(t, j)
 	}
 
 	// A tenant served purely from the shared cache never touches the

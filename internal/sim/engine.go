@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,46 +19,58 @@ type event struct {
 	epoch uint64 // wakeup generation; stale if != proc.epoch
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-// Push is the container/heap grow half of the event kernel.
-//
+// eventHeap is a 4-ary min-heap of events held by value. (at, seq) is a
+// total order, so any correct heap pops the same sequence.
+type eventHeap []event
+
 //t3d:hotpath
-func (h *eventHeap) Push(x any) {
+func (h *eventHeap) push(ev event) {
 	//lint:allow hotalloc the heap's backing array grows amortized-O(1) and is reused across the run; per-event cost is a slot store
-	*h = append(*h, x.(*event))
+	*h = append(*h, ev)
+	s, i := *h, len(*h)-1
+	for ; i > 0 && ev.before(&s[(i-1)/4]); i = (i - 1) / 4 {
+		s[i] = s[(i-1)/4]
+	}
+	s[i] = ev
 }
 
-// Pop is the container/heap shrink half of the event kernel.
-//
 //t3d:hotpath
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) pop() event {
+	s, n := *h, len(*h)-1
+	top, last := s[0], s[n]
+	s[n] = event{} // drop the callback and proc references
+	s = s[:n]
+	*h = s
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if s[k].before(&s[m]) {
+				m = k
+			}
+		}
+		if !s[m].before(&last) {
+			break
+		}
+		s[i], i = s[m], m
+	}
+	if n > 0 {
+		s[i] = last
+	}
+	return top
 }
 
-// Engine is a discrete-event simulator. The zero value is not usable;
-// create one with NewEngine.
+// Engine is a discrete-event simulator; create one with NewEngine.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
 
 	procs   []*Proc
-	yield   chan yieldMsg // procs -> engine handoff
 	running bool
 	tracer  Tracer
 
@@ -86,24 +97,8 @@ type Engine struct {
 	processed int64
 }
 
-type yieldKind int
-
-const (
-	yieldBlocked yieldKind = iota // proc parked itself (event or signal pending)
-	yieldDone                     // proc body returned
-	yieldPanic                    // proc body panicked
-)
-
-type yieldMsg struct {
-	kind  yieldKind
-	proc  *Proc
-	panic any
-}
-
 // NewEngine returns an engine with time zero and no pending events.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan yieldMsg)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated time in cycles.
 func (e *Engine) Now() Time { return e.now }
@@ -118,8 +113,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
 	e.seq++
-	//lint:allow hotalloc one event header per scheduled callback is the DES cost model; pooling popped headers is the ROADMAP item-1 follow-up
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d cycles from now.
@@ -133,41 +127,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 //t3d:hotpath
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
-	//lint:allow hotalloc one event header per proc wakeup is the DES cost model; pooling popped headers is the ROADMAP item-1 follow-up
-	heap.Push(&e.events, &event{at: t, seq: e.seq, proc: p, epoch: epoch})
-}
-
-// Spawn creates a proc named name running body. The proc starts when the
-// engine reaches the current time in its event loop (immediately if the
-// engine is already running). Spawn may be called before Run or from
-// within a running proc.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.state = procDone
-				e.yield <- yieldMsg{kind: yieldPanic, proc: p, panic: r}
-				return
-			}
-			p.state = procDone
-			e.yield <- yieldMsg{kind: yieldDone, proc: p}
-		}()
-		if p.killed {
-			return // reaped by Shutdown before ever running
-		}
-		body(p)
-	}()
-	p.state = procReady
-	p.epoch = 1
-	e.scheduleEpoch(p, e.now, p.epoch)
-	return p
+	e.events.push(event{at: t, seq: e.seq, proc: p, epoch: epoch})
 }
 
 // SpawnDaemon is like Spawn, but the proc is exempt from deadlock
@@ -317,7 +277,7 @@ func (e *Engine) RunErr() (Time, error) {
 				}
 			}
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		e.processed++
 		if e.Limit > 0 && ev.at > e.Limit {
 			return e.now, &LimitError{Limit: e.Limit, At: ev.at}
@@ -340,20 +300,17 @@ func (e *Engine) RunErr() (Time, error) {
 				e.wdLast, e.wdCount = v, 0
 			}
 		}
-		if ev.proc != nil {
-			p := ev.proc
+		if p := ev.proc; p != nil {
 			if p.state == procDone || p.state == procRunning || ev.epoch != p.epoch {
 				continue // stale wakeup (finished proc or superseded event)
 			}
 			p.state = procRunning
 			p.epoch++ // invalidate any sibling wakeups for the old park
-			p.resume <- struct{}{}
-			msg := <-e.yield
-			if msg.kind == yieldPanic {
-				if err, ok := msg.panic.(error); ok {
-					return e.now, &ProcFailure{Proc: msg.proc.name, Err: err}
+			if r := p.resume(); r != nil {
+				if err, ok := r.(error); ok {
+					return e.now, &ProcFailure{Proc: p.name, Err: err}
 				}
-				panic(fmt.Sprintf("sim: proc %q panicked: %v", msg.proc.name, msg.panic))
+				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
 			}
 			continue
 		}
@@ -380,31 +337,3 @@ func (e *Engine) Idle() bool { return len(e.events) == 0 }
 // runs: the host-side unit of simulation work (events per wall second
 // is the serving-capacity metric in BENCH_*.json).
 func (e *Engine) Events() int64 { return e.processed }
-
-// Shutdown reaps every live proc goroutine of a stopped engine. A run
-// that ends early — cancel poll, cycle Limit, proc failure, deadlock —
-// abandons its sibling procs parked on resume channels that will never
-// fire again; a long-running host (the job service) would leak one
-// goroutine per PE per aborted run. Shutdown wakes each parked proc
-// with the killed flag set, which makes it unwind via runtime.Goexit
-// (running its deferred cleanups, skipping the rest of its body) and
-// report done. The engine is unusable afterwards. Shutdown is
-// idempotent and safe on a cleanly finished engine (every proc already
-// done); it must not be called while Run is in progress.
-func (e *Engine) Shutdown() {
-	if e.running {
-		panic("sim: Shutdown called during Run")
-	}
-	for _, p := range e.procs {
-		p.killed = true
-		// A teardown defer may legally park once more (yieldBlocked);
-		// keep resuming until the goroutine reports done.
-		for p.state != procDone {
-			p.state = procRunning
-			p.resume <- struct{}{}
-			<-e.yield
-		}
-	}
-	e.procs = nil
-	e.events = nil
-}

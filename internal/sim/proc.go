@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 type procState int
@@ -15,14 +14,16 @@ const (
 	procDone                     // body returned
 )
 
-// Proc is a simulated thread of control. Procs run one at a time under
-// strict handoff with the engine; all methods must be called from the
-// proc's own body.
+// Proc is a simulated thread of control: a coroutine the engine resumes
+// with next and that hands control back through yield. Procs run one at
+// a time; all methods must be called from the proc's own body.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	state  procState
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	state procState
 
 	// epoch distinguishes wakeup generations: any event scheduled for an
 	// earlier park is stale and skipped by the engine.
@@ -30,7 +31,6 @@ type Proc struct {
 	sigFired    bool
 	daemon      bool
 	interrupted bool
-	killed      bool // set by Engine.Shutdown; the next resume unwinds via Goexit
 
 	// Deadlock diagnostics: what the proc is blocked on and since when
 	// (meaningful only while state == procBlocked).
@@ -122,24 +122,8 @@ func AwaitDeadline(p *Proc, s *Signal, op string, cond func() bool) {
 // Name returns the proc's name (used in deadlock reports).
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this proc runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-// park hands control back to the engine and blocks until resumed.
-func (p *Proc) park(st procState) {
-	p.state = st
-	p.eng.yield <- yieldMsg{kind: yieldBlocked, proc: p}
-	<-p.resume
-	if p.killed {
-		// Engine.Shutdown is reaping this proc: terminate the goroutine,
-		// running deferred cleanups on the way out. Goexit (not a panic)
-		// so no recover in user code can intercept the teardown.
-		runtime.Goexit()
-	}
-}
 
 // Wait advances the proc's time by d cycles.
 //
@@ -152,8 +136,22 @@ func (p *Proc) Wait(d Time) {
 	if d == 0 {
 		return
 	}
+	e, t := p.eng, p.eng.now+d
+	// Inline advance: during Run, with nothing else due by t the loop would
+	// pop this wakeup next, so do its bookkeeping here. A due cancel poll,
+	// a crossed Limit or a due watchdog sample takes the scheduled path.
+	if e.running && (len(e.events) == 0 || e.events[0].at > t) &&
+		(e.cancelPoll == nil || e.cancelCount+1 < e.cancelEvery) &&
+		(e.Limit <= 0 || t <= e.Limit) && (e.wdProbe == nil || t < e.wdNext) {
+		e.cancelCount++ // harmless unarmed: SetCancelPoll resets it
+		e.seq++
+		e.processed++
+		p.epoch += 2 // the park's and the resume's generations
+		e.now = t
+		return
+	}
 	p.epoch++
-	p.eng.scheduleEpoch(p, p.eng.now+d, p.epoch)
+	e.scheduleEpoch(p, t, p.epoch)
 	p.park(procReady)
 }
 
@@ -174,33 +172,32 @@ func (p *Proc) Yield() {
 }
 
 // WaitSignal blocks until s fires.
-//
-//t3d:hotpath
-func (p *Proc) WaitSignal(s *Signal) {
-	p.checkInterrupt()
-	p.epoch++
-	p.waitLabel, p.blockedSince = s.name, p.eng.now
-	//lint:allow hotalloc one waiter record per block; the per-signal slice is reused across fires, so the append is an amortized slot store
-	s.waiters = append(s.waiters, waiter{p, p.epoch})
-	p.park(procBlocked)
-	p.checkInterrupt()
-}
+func (p *Proc) WaitSignal(s *Signal) { p.block(s, 0) }
 
 // WaitSignalTimeout blocks until s fires or d cycles elapse. It reports
 // whether the signal fired (as opposed to the timeout expiring).
-//
-//t3d:hotpath
 func (p *Proc) WaitSignalTimeout(s *Signal, d Time) bool {
-	p.checkInterrupt()
 	if d <= 0 {
+		p.checkInterrupt()
 		return false
 	}
+	return p.block(s, d)
+}
+
+// block parks p on s, with a timeout d cycles out if d > 0, and reports
+// whether s fired.
+//
+//t3d:hotpath
+func (p *Proc) block(s *Signal, d Time) bool {
+	p.checkInterrupt()
 	p.epoch++
 	p.sigFired = false
 	p.waitLabel, p.blockedSince = s.name, p.eng.now
 	//lint:allow hotalloc one waiter record per block; the per-signal slice is reused across fires, so the append is an amortized slot store
 	s.waiters = append(s.waiters, waiter{p, p.epoch})
-	p.eng.scheduleEpoch(p, p.eng.now+d, p.epoch)
+	if d > 0 {
+		p.eng.scheduleEpoch(p, p.eng.now+d, p.epoch)
+	}
 	p.park(procBlocked)
 	p.checkInterrupt()
 	return p.sigFired

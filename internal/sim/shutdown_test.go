@@ -71,6 +71,22 @@ func TestShutdownRunsTeardownDefers(t *testing.T) {
 	}
 }
 
+// TestShutdownContainsTeardownPanic: a cleanup that panics while its
+// proc is being reaped dies with the proc instead of crashing the host.
+func TestShutdownContainsTeardownPanic(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal("never")
+	e.Spawn("waiter", func(p *Proc) {
+		defer panic("teardown")
+		p.WaitSignal(sig)
+	})
+	e.Spawn("failer", func(p *Proc) { panic(errors.New("abort")) })
+	if _, err := e.RunErr(); err == nil {
+		t.Fatal("want proc failure")
+	}
+	e.Shutdown()
+}
+
 // TestShutdownNeverStartedProc covers procs spawned but reaped before
 // their first resume: the body must not run at all.
 func TestShutdownNeverStartedProc(t *testing.T) {
