@@ -37,13 +37,16 @@ chaos:
 # slot-classification, ack-control, and poison-wire fuzzers, which must
 # never find a way for corrupted headers, sequence numbers, expiry
 # stamps, congestion-echo bits, or poison verdicts to panic, mis-ack,
-# inflate a window, or launder poisoned data into a clean ack.
+# inflate a window, or launder poisoned data into a clean ack. The
+# journal and checkpoint fuzzers guard the on-disk readers, and
+# FuzzDRAMPages checks the paged DRAM against a dense reference.
 fuzz:
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzClassifySlot -fuzztime 10s
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzAckControl -fuzztime 10s
 	$(GO) test ./internal/am -run '^$$' -fuzz FuzzPoisonWire -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzJournalRecord -fuzztime 10s
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz FuzzCheckpointHeader -fuzztime 10s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzDRAMPages -fuzztime 10s
 
 # cover runs the suite with coverage and prints the per-package summary;
 # the profile lands in cover.out for `go tool cover -html=cover.out`.

@@ -113,7 +113,7 @@ func main() {
 		workers      = flag.Int("workers", 2, "concurrent simulation workers")
 		queue        = flag.Int("queue", 64, "hard bound on queued jobs before shedding")
 		targetWait   = flag.Duration("target-wait", 2*time.Second, "queueing-delay target driving AIMD admission")
-		cacheCap     = flag.Int("cache", 1024, "result cache capacity (entries)")
+		cacheCap     = flag.Int("cache", 8192, "result cache capacity (entries)")
 		cycleLimit   = flag.Int64("cycle-limit", 2_000_000_000, "default per-job simulated-cycle budget")
 		wallLimit    = flag.Duration("wall-limit", 120*time.Second, "default per-job wall-clock budget")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")

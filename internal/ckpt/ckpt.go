@@ -5,10 +5,18 @@
 // hardened against (EIO, ENOSPC, short/torn writes, crash mid-rename)
 // applies to checkpoints too.
 //
-// On-disk format, one file per committed checkpoint:
+// On-disk format (version 2), one file per committed checkpoint:
 //
-//	T3DCKPT1 <8-hex CRC32 of header JSON> <header JSON>\n
-//	<payload: the per-PE DRAM images, concatenated in PE order>
+//	T3DCKPT2 <8-hex CRC32 of header JSON> <header JSON>\n
+//	<payload: one page list per PE, in PE order>
+//
+// A PE's page list is a little-endian uint32 page count followed by one
+// entry per non-zero 4 KB page of its DRAM image: a little-endian
+// uint32 page index, then the page bytes. Indices strictly increase;
+// the last page of an image whose length is not a page multiple is
+// stored at its partial length. All-zero pages are omitted, so a file
+// costs what the job touched, not what the machine could hold, and
+// Decode rebuilds the dense MemLen-byte images.
 //
 // The header carries the job identity, the epoch the image resumes at,
 // the cumulative simulated cycles the image accounts for, the per-PE
@@ -19,6 +27,8 @@
 // both CRCs, the journal's checkpointed record stores an FNV-1a digest
 // of the whole file, binding journal entry to file content: a file that
 // was swapped, truncated, or regenerated does not match its record.
+// Files of another version, version 1's dense images included, are
+// refused; the resume ladder quarantines them and replays.
 //
 // Publication is tmp + write + fsync + rename: a crash leaves either
 // the previous checkpoint set plus a garbage .tmp (swept at startup) or
@@ -30,6 +40,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -44,8 +55,12 @@ import (
 )
 
 // Version is the checkpoint format version, baked into the magic token
-// ("T3DCKPT1"). Readers refuse other versions rather than guess.
-const Version = 1
+// ("T3DCKPT2"). Readers refuse other versions rather than guess.
+const Version = 2
+
+// pageSize is the payload's page granularity; it matches the DRAM's
+// host pages, so every page a job touched costs one entry.
+const pageSize = 4096
 
 const magic = "T3DCKPT"
 
@@ -72,44 +87,52 @@ type Meta struct {
 }
 
 // Snapshot is one decoded checkpoint: the header plus the per-PE DRAM
-// images. Decode returns Mem as views into the input buffer; callers
-// that outlive the buffer must copy.
+// images, each MemLen bytes.
 type Snapshot struct {
 	Meta
 	Mem [][]byte
 }
 
-// Encode renders a snapshot to its on-disk bytes. The caller's Meta
-// Version and PayloadCRC are overwritten with the computed values.
+// Encode renders a snapshot to its on-disk bytes, keeping only the
+// non-zero pages of each image. The caller's Meta Version and
+// PayloadCRC are overwritten with the computed values.
 func Encode(s *Snapshot) ([]byte, error) {
 	if len(s.Mem) != s.PEs || len(s.Heap) != s.PEs || len(s.Regs) != s.PEs {
 		return nil, fmt.Errorf("ckpt: encode: %d PEs but %d mem/%d heap/%d regs",
 			s.PEs, len(s.Mem), len(s.Heap), len(s.Regs))
 	}
-	crc := crc32.NewIEEE()
-	var payload int64
+	var zero [pageSize]byte
+	var payload []byte
 	for pe, m := range s.Mem {
 		if int64(len(m)) != s.MemLen {
 			return nil, fmt.Errorf("ckpt: encode: pe%d image %d bytes, mem_len %d", pe, len(m), s.MemLen)
 		}
-		crc.Write(m)
-		payload += int64(len(m))
+		countAt := len(payload)
+		payload = binary.LittleEndian.AppendUint32(payload, 0)
+		var count uint32
+		for i := 0; i < len(m); i += pageSize {
+			pg := m[i:min(i+pageSize, len(m))]
+			if bytes.Equal(pg, zero[:len(pg)]) {
+				continue
+			}
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(i/pageSize))
+			payload = append(payload, pg...)
+			count++
+		}
+		binary.LittleEndian.PutUint32(payload[countAt:], count)
 	}
 	meta := s.Meta
 	meta.Version = Version
-	meta.PayloadCRC = crc.Sum32()
+	meta.PayloadCRC = crc32.ChecksumIEEE(payload)
 	hdr, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode header: %w", err)
 	}
-	buf := make([]byte, 0, len(hdr)+int(payload)+24)
+	buf := make([]byte, 0, len(hdr)+len(payload)+24)
 	buf = fmt.Appendf(buf, "%s%d %08x ", magic, Version, crc32.ChecksumIEEE(hdr))
 	buf = append(buf, hdr...)
 	buf = append(buf, '\n')
-	for _, m := range s.Mem {
-		buf = append(buf, m...)
-	}
-	return buf, nil
+	return append(buf, payload...), nil
 }
 
 // ParseHeader validates and decodes the header line, returning the
@@ -164,24 +187,52 @@ func ParseHeader(data []byte) (Meta, int, error) {
 	return m, nl + 1, nil
 }
 
-// Decode parses a whole checkpoint file: header, size, and payload CRC
-// all validated. Mem entries are views into data.
+// Decode parses a whole checkpoint file: header and payload CRC
+// validated, then every page list, before the dense images are trusted.
+// A torn entry, an out-of-range or non-increasing page index, and bytes
+// past the last PE's list are each refused.
 func Decode(data []byte) (*Snapshot, error) {
 	meta, off, err := ParseHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	need := int64(meta.PEs) * meta.MemLen
-	if got := int64(len(data) - off); got != need {
-		return nil, fmt.Errorf("ckpt: payload: %d bytes, header promises %d (torn or padded file)", got, need)
-	}
-	if got := crc32.ChecksumIEEE(data[off:]); got != meta.PayloadCRC {
+	p := data[off:]
+	if got := crc32.ChecksumIEEE(p); got != meta.PayloadCRC {
 		return nil, fmt.Errorf("ckpt: payload: checksum mismatch (header says %08x, payload is %08x)", meta.PayloadCRC, got)
 	}
+	memLen := int(meta.MemLen)
+	pages := (memLen + pageSize - 1) / pageSize
 	s := &Snapshot{Meta: meta, Mem: make([][]byte, meta.PEs)}
 	for pe := range s.Mem {
-		lo := off + pe*int(meta.MemLen)
-		s.Mem[pe] = data[lo : lo+int(meta.MemLen)]
+		if len(p) < 4 {
+			return nil, fmt.Errorf("ckpt: payload: pe%d page count torn", pe)
+		}
+		count := int(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+		if count > pages {
+			return nil, fmt.Errorf("ckpt: payload: pe%d lists %d pages, image has %d", pe, count, pages)
+		}
+		img := make([]byte, memLen)
+		next := 0
+		for e := 0; e < count; e++ {
+			if len(p) < 4 {
+				return nil, fmt.Errorf("ckpt: payload: pe%d entry %d torn", pe, e)
+			}
+			idx := int(binary.LittleEndian.Uint32(p))
+			if idx < next || idx >= pages {
+				return nil, fmt.Errorf("ckpt: payload: pe%d page index %d out of order or range (want [%d,%d))", pe, idx, next, pages)
+			}
+			pg := img[idx*pageSize : min((idx+1)*pageSize, memLen)]
+			if len(p)-4 < len(pg) {
+				return nil, fmt.Errorf("ckpt: payload: pe%d page %d torn", pe, idx)
+			}
+			p = p[4+copy(pg, p[4:]):]
+			next = idx + 1
+		}
+		s.Mem[pe] = img
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("ckpt: payload: %d trailing bytes after the last page list", len(p))
 	}
 	return s, nil
 }

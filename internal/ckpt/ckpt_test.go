@@ -1,6 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -190,5 +195,119 @@ func TestStoreWriteFailureLeavesNothingPublished(t *testing.T) {
 	}
 	if st.Stats().WriteFailures != 1 {
 		t.Fatalf("stats: %+v", st.Stats())
+	}
+}
+
+// forge builds a checkpoint file around an arbitrary payload, with both
+// CRCs valid, so each payload refusal is tested on its own.
+func forge(t *testing.T, version int, meta Meta, payload []byte) []byte {
+	t.Helper()
+	meta.Version = version
+	meta.PayloadCRC = crc32.ChecksumIEEE(payload)
+	hdr, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := fmt.Appendf(nil, "%s%d %08x ", magic, version, crc32.ChecksumIEEE(hdr))
+	buf = append(append(buf, hdr...), '\n')
+	return append(buf, payload...)
+}
+
+// pageList renders one PE's page list from (index, bytes) pairs.
+func pageList(entries ...any) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(entries)/2))
+	for i := 0; i < len(entries); i += 2 {
+		out = binary.LittleEndian.AppendUint32(out, entries[i].(uint32))
+		out = append(out, entries[i+1].([]byte)...)
+	}
+	return out
+}
+
+func TestSparseRoundTripWithPartialLastPage(t *testing.T) {
+	const memLen = 3*pageSize + 96
+	s := testSnap("j00000009", 2, 3, memLen, 0)
+	for _, m := range s.Mem {
+		clear(m)
+	}
+	s.Mem[1][5] = 1
+	s.Mem[1][memLen-1] = 2 // partial last page
+	s.Mem[2][2*pageSize+pageSize/2] = 3
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := bytes.IndexByte(data, '\n') + 1
+	if want := hdr + 4*3 + (4 + pageSize) + (4 + 96) + (4 + pageSize); len(data) != want {
+		t.Fatalf("encoded %d bytes, want %d (header, 3 counts, 3 non-zero pages)", len(data), want)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for pe := range s.Mem {
+		if !bytes.Equal(got.Mem[pe], s.Mem[pe]) {
+			t.Fatalf("pe%d image differs after the round trip", pe)
+		}
+	}
+}
+
+// A job-sized snapshot costs its touched pages, not its machine size.
+func TestJobSizedSnapshotEncodesTouchedPages(t *testing.T) {
+	const pes, memLen, k = 8, 2 << 20, 48
+	s := testSnap("j00000010", 1, pes, memLen, 0)
+	for _, m := range s.Mem {
+		clear(m)
+	}
+	for i := 0; i < k; i++ {
+		s.Mem[i%pes][(i*37%(memLen/pageSize))*pageSize+i] = byte(i + 1)
+	}
+	data, err := Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := bytes.IndexByte(data, '\n') + 1
+	if limit := hdr + 4*pes + k*(4+pageSize); len(data) > limit {
+		t.Fatalf("encoded %d bytes for %d touched pages, limit %d", len(data), k, limit)
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+}
+
+func TestDecodeRefusesMalformedPageLists(t *testing.T) {
+	meta := testSnap("j00000011", 1, 1, 2*pageSize+96, 0).Meta
+	page := bytes.Repeat([]byte{7}, pageSize)
+	cases := []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"torn count", "count torn", []byte{1, 0}},
+		{"torn entry", "torn", pageList(uint32(0), page)[:4+4+100]},
+		{"torn entry index", "entry 1 torn", append(pageList(uint32(0), page, uint32(1), page)[:4+4+pageSize], 1)},
+		{"out-of-range index", "out of order or range", pageList(uint32(3), page)},
+		{"non-increasing index", "out of order or range", pageList(uint32(1), page, uint32(1), page)},
+		{"decreasing index", "out of order or range", pageList(uint32(1), page, uint32(0), page)},
+		{"too many pages", "lists 4 pages", pageList(uint32(0), page, uint32(1), page, uint32(2), page[:96], uint32(3), page)},
+		{"trailing bytes", "trailing", append(pageList(uint32(2), page[:96]), 0)},
+	}
+	for _, c := range cases {
+		_, err := Decode(forge(t, Version, meta, c.payload))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Decode(forge(t, Version, meta, pageList(uint32(0), page, uint32(2), page[:96]))); err != nil {
+		t.Errorf("well-formed forged file refused: %v", err)
+	}
+}
+
+// A version-1 file (dense images) is refused as an unsupported version,
+// which the resume ladder quarantines.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	s := testSnap("j00000012", 1, 2, 96, 0x5A)
+	dense := append(append([]byte(nil), s.Mem[0]...), s.Mem[1]...)
+	_, err := Decode(forge(t, 1, s.Meta, dense))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("T3DCKPT1 file: err %v, want an unsupported-version refusal", err)
 	}
 }

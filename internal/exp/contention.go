@@ -90,7 +90,6 @@ func runScale(o Options) []report.Table {
 	}
 	for _, n := range sizes {
 		cfg := machine.DefaultConfig(n)
-		cfg.MemBytes = 1 << 20 // keep host memory modest at 2048 nodes
 		m := machine.New(cfg)
 		far := 0
 		maxHops := 0

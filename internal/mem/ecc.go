@@ -156,7 +156,7 @@ func (d *DRAM) InjectFlip(addr int64, mask uint64) {
 	if mask == 0 {
 		return
 	}
-	binary.LittleEndian.PutUint64(d.data[addr:], binary.LittleEndian.Uint64(d.data[addr:])^mask)
+	d.xorWord(addr, mask)
 	f := d.faults[addr]
 	if f == nil {
 		f = &wordFault{}
@@ -175,6 +175,14 @@ func (d *DRAM) InjectFlip(addr int64, mask uint64) {
 		f.multiCounted = true
 		d.integ.MultiWords++
 	}
+}
+
+// xorWord flips mask into the aligned 64-bit word at w. A word never
+// straddles a page, and flipping bits of an unallocated page allocates
+// it: the corrupted word is real data until a write or repair clears it.
+func (d *DRAM) xorWord(w int64, mask uint64) {
+	b := d.pageAt(w)[w&(pageSize-1):]
+	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)^mask)
 }
 
 // PropagatePoison marks the word at addr (word-aligned down) as carrying
@@ -220,7 +228,7 @@ func (d *DRAM) ReadChecked(addr int64, p []byte) (corrected int, poisoned []int6
 	if len(d.faults) > 0 {
 		corrected, poisoned = d.sweepRange(addr, int64(len(p)), true)
 	}
-	copy(p, d.data[addr:])
+	d.load(addr, p)
 	return corrected, poisoned
 }
 
@@ -232,7 +240,7 @@ func (d *DRAM) Read64Checked(addr int64) (v uint64, corrected int, poisoned bool
 		corrected, pw = d.sweepRange(addr, 8, true)
 		poisoned = len(pw) > 0
 	}
-	return binary.LittleEndian.Uint64(d.data[addr:]), corrected, poisoned
+	return d.load64(addr), corrected, poisoned
 }
 
 // sweepRange applies ECC to every word overlapping [addr, addr+n).
@@ -263,7 +271,7 @@ func (d *DRAM) sweepRange(addr, n int64, signal bool) (corrected int, poisoned [
 			}
 			continue
 		}
-		binary.LittleEndian.PutUint64(d.data[w:], binary.LittleEndian.Uint64(d.data[w:])^f.mask)
+		d.xorWord(w, f.mask)
 		delete(d.faults, w)
 		d.integ.Corrected++
 		corrected++
@@ -329,7 +337,7 @@ func (d *DRAM) ScrubRange(addr, n int64) int {
 		if w < addr || w >= end || f.uncorrectable() {
 			continue
 		}
-		binary.LittleEndian.PutUint64(d.data[w:], binary.LittleEndian.Uint64(d.data[w:])^f.mask)
+		d.xorWord(w, f.mask)
 		delete(d.faults, w)
 		d.integ.Scrubbed++
 		repaired++

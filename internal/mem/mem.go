@@ -16,6 +16,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -96,10 +97,20 @@ func WorkstationConfig(size int64) Config {
 	}
 }
 
+// Host backing store. The DRAM's contents live in fixed 4 KB host
+// pages, allocated on a page's first write; a page never written reads
+// as zero and costs one nil pointer. A page is a host-storage detail
+// only: it has nothing to do with the simulated DRAM rows (RowSize)
+// that set timing, so sparse backing changes no simulated number.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
 // DRAM is a banked page-mode memory holding real data.
 type DRAM struct {
 	cfg   Config
-	data  []byte
+	pages []*[pageSize]byte // nil: never written since the last Zero/Restore, reads as zero
 	banks []bank
 
 	// SECDED state (ecc.go): the fault table maps word-aligned offsets
@@ -116,7 +127,7 @@ type bank struct {
 }
 
 // New returns a DRAM with the given configuration. All bytes are zero and
-// all rows closed.
+// all rows closed; no page is allocated until it is written.
 func New(cfg Config) *DRAM {
 	if cfg.Size <= 0 || cfg.Banks <= 0 || cfg.RowSize <= 0 {
 		panic(fmt.Sprintf("mem: invalid config %+v", cfg))
@@ -126,7 +137,7 @@ func New(cfg Config) *DRAM {
 	}
 	d := &DRAM{
 		cfg:   cfg,
-		data:  make([]byte, cfg.Size),
+		pages: make([]*[pageSize]byte, (cfg.Size+pageSize-1)>>pageShift),
 		banks: make([]bank, cfg.Banks),
 	}
 	for i := range d.banks {
@@ -137,34 +148,91 @@ func New(cfg Config) *DRAM {
 
 // Snapshot copies the full memory image into buf (allocating when buf is
 // too small) and returns it — the checkpoint primitive for rollback
-// recovery. Only data is captured; bank timing state is transient and
-// reconverges within one access.
+// recovery. Unallocated pages come out as zeros. Only data is captured;
+// bank timing state is transient and reconverges within one access.
 func (d *DRAM) Snapshot(buf []byte) []byte {
 	if int64(len(buf)) < d.cfg.Size {
 		buf = make([]byte, d.cfg.Size)
 	}
-	copy(buf, d.data)
-	return buf[:d.cfg.Size]
+	buf = buf[:d.cfg.Size]
+	d.load(0, buf)
+	return buf
 }
 
-// Restore overwrites memory with a Snapshot image. Every latent fault
-// is overwritten with it — the property that lets a rollback clear
-// poison the same way it clears any other corruption.
+// Restore overwrites memory with a Snapshot image. All-zero pages of the
+// image are released rather than copied. Every latent fault is
+// overwritten with it — the property that lets a rollback clear poison
+// the same way it clears any other corruption.
 func (d *DRAM) Restore(img []byte) {
 	if int64(len(img)) != d.cfg.Size {
 		panic(fmt.Sprintf("mem: Restore image %d bytes, memory %d", len(img), d.cfg.Size))
 	}
-	copy(d.data, img)
+	var zero [pageSize]byte
+	for i := range d.pages {
+		chunk := img[i<<pageShift : min((i+1)<<pageShift, len(img))]
+		if bytes.Equal(chunk, zero[:len(chunk)]) {
+			d.pages[i] = nil
+			continue
+		}
+		copy(d.pageAt(int64(i) << pageShift)[:], chunk)
+	}
 	d.clearAllFaults()
 }
 
-// Zero clears all memory — the fail-stop model of a node whose volatile
-// state is lost in a crash. Latent faults are lost with it.
+// Zero clears all memory by releasing every page — the fail-stop model
+// of a node whose volatile state is lost in a crash. Latent faults are
+// lost with it.
 func (d *DRAM) Zero() {
-	for i := range d.data {
-		d.data[i] = 0
-	}
+	clear(d.pages)
 	d.clearAllFaults()
+}
+
+// pageAt returns the page holding addr, allocating it on first use.
+func (d *DRAM) pageAt(addr int64) *[pageSize]byte {
+	pg := d.pages[addr>>pageShift]
+	if pg == nil {
+		pg = new([pageSize]byte)
+		d.pages[addr>>pageShift] = pg
+	}
+	return pg
+}
+
+// load copies the bytes at [addr, addr+len(p)) into p, page by page.
+// It allocates nothing: an unallocated page reads as zeros.
+func (d *DRAM) load(addr int64, p []byte) {
+	for len(p) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(p), int(pageSize-off))
+		if pg := d.pages[addr>>pageShift]; pg != nil {
+			copy(p[:n], pg[off:])
+		} else {
+			clear(p[:n])
+		}
+		p = p[n:]
+		addr += int64(n)
+	}
+}
+
+// store copies p into [addr, addr+len(p)), allocating pages it touches
+// for the first time.
+func (d *DRAM) store(addr int64, p []byte) {
+	for len(p) > 0 {
+		n := copy(d.pageAt(addr)[addr&(pageSize-1):], p)
+		p = p[n:]
+		addr += int64(n)
+	}
+}
+
+func (d *DRAM) load64(addr int64) uint64 {
+	var b [8]byte
+	d.load(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (d *DRAM) store64(addr int64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.store(addr, b[:])
 }
 
 // Config returns the configuration the DRAM was built with.
@@ -243,14 +311,14 @@ func (d *DRAM) Read(addr int64, p []byte) {
 	if len(d.faults) > 0 {
 		d.sweepRange(addr, int64(len(p)), false)
 	}
-	copy(p, d.data[addr:])
+	d.load(addr, p)
 }
 
 // Write copies p into memory starting at addr.
 func (d *DRAM) Write(addr int64, p []byte) {
 	d.checkRange(addr, len(p))
 	d.clearOnWrite(addr, int64(len(p)))
-	copy(d.data[addr:], p)
+	d.store(addr, p)
 }
 
 // Read64 returns the little-endian 64-bit word at addr (raw host
@@ -260,14 +328,14 @@ func (d *DRAM) Read64(addr int64) uint64 {
 	if len(d.faults) > 0 {
 		d.sweepRange(addr, 8, false)
 	}
-	return binary.LittleEndian.Uint64(d.data[addr:])
+	return d.load64(addr)
 }
 
 // Write64 stores v as a little-endian 64-bit word at addr.
 func (d *DRAM) Write64(addr int64, v uint64) {
 	d.checkRange(addr, 8)
 	d.clearOnWrite(addr, 8)
-	binary.LittleEndian.PutUint64(d.data[addr:], v)
+	d.store64(addr, v)
 }
 
 // Read32 returns the little-endian 32-bit word at addr (raw host
@@ -277,14 +345,18 @@ func (d *DRAM) Read32(addr int64) uint32 {
 	if len(d.faults) > 0 {
 		d.sweepRange(addr, 4, false)
 	}
-	return binary.LittleEndian.Uint32(d.data[addr:])
+	var b [4]byte
+	d.load(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Write32 stores v as a little-endian 32-bit word at addr.
 func (d *DRAM) Write32(addr int64, v uint32) {
 	d.checkRange(addr, 4)
 	d.clearOnWrite(addr, 4)
-	binary.LittleEndian.PutUint32(d.data[addr:], v)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	d.store(addr, b[:])
 }
 
 func (d *DRAM) checkRange(addr int64, n int) {

@@ -49,7 +49,7 @@ func NewCache(capacity int) *Cache {
 		capacity = 1
 	}
 	return &Cache{
-		m:       make(map[uint64]*cacheEntry, capacity),
+		m:       make(map[uint64]*cacheEntry),
 		cap:     capacity,
 		tenants: make(map[string]*TenantCacheStats),
 	}

@@ -33,7 +33,9 @@ type Config struct {
 	// HealBackoff is the initial degraded-mode probe interval
 	// (default 100 ms, doubling to 5 s).
 	HealBackoff time.Duration
-	// CacheCap bounds the result cache (default 1024 entries).
+	// CacheCap bounds the result cache (default 8192 entries, about
+	// 2 MB: two workers fill it with unique results in about two
+	// minutes).
 	CacheCap int
 	// DefaultCycleLimit is the per-job simulated-cycle budget when the
 	// spec carries none (default 2e9 cycles ≈ 13 simulated seconds).
@@ -61,7 +63,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.CacheCap <= 0 {
-		c.CacheCap = 1024
+		c.CacheCap = 8192
 	}
 	if c.DefaultCycleLimit <= 0 {
 		c.DefaultCycleLimit = 2_000_000_000
@@ -277,13 +279,18 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, &DegradedError{RetryAfter: s.journal.RetryAfter()}
 	}
+	// Admit under s.mu: a duplicate that dedups onto this job must never
+	// find one the pool then sheds, or it would wait for a run that
+	// never comes. The pool calls nothing back under its own lock, so
+	// taking it inside s.mu cannot deadlock.
 	job := s.newJobLocked(key, tenant, spec)
-	s.mu.Unlock()
-
 	if err := s.pool.Submit(job); err != nil {
-		s.forget(job)
+		delete(s.jobs, job.ID)
+		delete(s.byKey, key)
+		s.mu.Unlock()
 		return nil, err
 	}
+	s.mu.Unlock()
 	// WAL: the job is acknowledged only after its submitted record is
 	// durable. A crash before this append loses a job no client was
 	// ever promised.
@@ -305,7 +312,8 @@ func (s *Server) newJobLocked(key uint64, tenant string, spec JobSpec) *Job {
 	return job
 }
 
-// forget unregisters a job that never ran (shed, journal failure).
+// forget unregisters a job whose submitted record could not be made
+// durable.
 func (s *Server) forget(job *Job) {
 	s.mu.Lock()
 	delete(s.jobs, job.ID)

@@ -61,8 +61,10 @@ go build -o "$TMP/em3d" ./cmd/em3d
 
 # The workload: long enough to survive a first checkpoint plus a kill,
 # with a cadence at the floor so a checkpoint lands at nearly every
-# epoch barrier.
-PES=4 NODES=120 DEGREE=8 ITERS=6 SEED=11
+# epoch barrier. Page-sparse checkpoints cost milliseconds, so the
+# simulation itself must run for seconds (about 4 s on a 2-vCPU VM)
+# for the kill to land mid-job.
+PES=4 NODES=960 DEGREE=8 ITERS=64 SEED=11
 JOB_JSON=$(printf '{"app":"em3d","pes":%d,"nodes_per_pe":%d,"degree":%d,"iters":%d,"seed":%d,"checkpoint_cycles":4096}' \
   "$PES" "$NODES" "$DEGREE" "$ITERS" "$SEED")
 
