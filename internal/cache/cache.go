@@ -38,20 +38,24 @@ func WorkstationL2Config() Config { return Config{Size: 512 << 10, LineSize: 32,
 type Cache struct {
 	cfg     Config
 	numSets int64
-	sets    [][]line
-	useSeq  uint64
+	assoc   int64
+	// lines holds every way, set by set: set s is lines[s*assoc :
+	// (s+1)*assoc]. Line i's bytes are data[i*LineSize : (i+1)*LineSize],
+	// so the whole cache is two allocations and lines carry no pointers.
+	lines  []line
+	data   []byte
+	useSeq uint64
 
 	// Stats for probes and tests. ParityFlips counts bit flips injected
 	// into resident lines (fault injection); ParityHits counts lookups
 	// that found the resident line's parity bad.
-	Hits, Misses             int64
-	ParityFlips, ParityHits  int64
+	Hits, Misses            int64
+	ParityFlips, ParityHits int64
 }
 
 type line struct {
 	valid   bool
 	tag     int64 // full line address (addr / LineSize)
-	data    []byte
 	lastUse uint64
 	// parityBad marks a line whose SRAM bits were flipped after the
 	// fill. The 21064's data cache is parity-protected, not ECC: a hit
@@ -70,16 +74,13 @@ func New(cfg Config) *Cache {
 	if lines%int64(cfg.Assoc) != 0 {
 		panic("cache: lines not divisible by associativity")
 	}
-	numSets := lines / int64(cfg.Assoc)
-	c := &Cache{cfg: cfg, numSets: numSets, sets: make([][]line, numSets)}
-	for i := range c.sets {
-		ways := make([]line, cfg.Assoc)
-		for j := range ways {
-			ways[j].data = make([]byte, cfg.LineSize)
-		}
-		c.sets[i] = ways
+	return &Cache{
+		cfg:     cfg,
+		numSets: lines / int64(cfg.Assoc),
+		assoc:   int64(cfg.Assoc),
+		lines:   make([]line, lines),
+		data:    make([]byte, cfg.Size),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -88,25 +89,32 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr returns the line-aligned base address containing addr.
 func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.cfg.LineSize - 1) }
 
-func (c *Cache) setOf(lineID int64) []line { return c.sets[lineID%c.numSets] }
+// setOf returns the index of the first way of lineID's set.
+func (c *Cache) setOf(lineID int64) int64 { return lineID % c.numSets * c.assoc }
 
-func (c *Cache) find(addr int64) *line {
+// find returns the index of the resident line holding addr, or -1.
+func (c *Cache) find(addr int64) int64 {
 	lineID := addr / c.cfg.LineSize
-	for i := range c.setOf(lineID) {
-		l := &c.setOf(lineID)[i]
-		if l.valid && l.tag == lineID {
-			return l
+	for i, end := c.setOf(lineID), c.setOf(lineID)+c.assoc; i < end; i++ {
+		if l := &c.lines[i]; l.valid && l.tag == lineID {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// bytesOf returns line i's data.
+func (c *Cache) bytesOf(i int64) []byte {
+	ls := c.cfg.LineSize
+	return c.data[i*ls : (i+1)*ls]
 }
 
 // Lookup reports whether addr is resident, updating hit/miss statistics
 // and LRU state.
 func (c *Cache) Lookup(addr int64) bool {
-	if l := c.find(addr); l != nil {
+	if i := c.find(addr); i >= 0 {
 		c.useSeq++
-		l.lastUse = c.useSeq
+		c.lines[i].lastUse = c.useSeq
 		c.Hits++
 		return true
 	}
@@ -115,14 +123,13 @@ func (c *Cache) Lookup(addr int64) bool {
 }
 
 // Contains reports residency without touching statistics or LRU state.
-func (c *Cache) Contains(addr int64) bool { return c.find(addr) != nil }
+func (c *Cache) Contains(addr int64) bool { return c.find(addr) >= 0 }
 
 // ReadData copies bytes from a resident line into p. The range must lie
 // within one line and the line must be resident.
 func (c *Cache) ReadData(addr int64, p []byte) {
-	l := c.mustFind(addr, len(p))
-	off := addr % c.cfg.LineSize
-	copy(p, l.data[off:])
+	i := c.mustFind(addr, len(p))
+	copy(p, c.bytesOf(i)[addr%c.cfg.LineSize:])
 }
 
 // WriteData updates a resident line with p (the write-through hit path)
@@ -132,12 +139,11 @@ func (c *Cache) WriteData(addr int64, p []byte) bool {
 	if addr%c.cfg.LineSize+int64(len(p)) > c.cfg.LineSize {
 		panic("cache: write crosses a line boundary")
 	}
-	l := c.find(addr)
-	if l == nil {
+	i := c.find(addr)
+	if i < 0 {
 		return false
 	}
-	off := addr % c.cfg.LineSize
-	copy(l.data[off:], p)
+	copy(c.bytesOf(i)[addr%c.cfg.LineSize:], p)
 	return true
 }
 
@@ -148,24 +154,21 @@ func (c *Cache) Fill(addr int64, src []byte) {
 		panic(fmt.Sprintf("cache: Fill with %d bytes, want line size %d", len(src), c.cfg.LineSize))
 	}
 	lineID := addr / c.cfg.LineSize
-	set := c.setOf(lineID)
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
+	first := c.setOf(lineID)
+	victim := first
+	for i := first; i < first+c.assoc; i++ {
+		l := &c.lines[i]
 		if !l.valid {
-			victim = l
+			victim = i
 			break
 		}
-		if l.lastUse < victim.lastUse {
-			victim = l
+		if l.lastUse < c.lines[victim].lastUse {
+			victim = i
 		}
 	}
 	c.useSeq++
-	victim.valid = true
-	victim.tag = lineID
-	victim.lastUse = c.useSeq
-	victim.parityBad = false
-	copy(victim.data, src)
+	c.lines[victim] = line{valid: true, tag: lineID, lastUse: c.useSeq}
+	copy(c.bytesOf(victim), src)
 }
 
 // FlipBits XORs mask into the 64-bit word at addr if its line is
@@ -174,15 +177,15 @@ func (c *Cache) Fill(addr int64, src []byte) {
 // cache untouched (the fault belongs to DRAM then).
 func (c *Cache) FlipBits(addr int64, mask uint64) bool {
 	addr &^= 7
-	l := c.find(addr)
-	if l == nil || mask == 0 {
+	i := c.find(addr)
+	if i < 0 || mask == 0 {
 		return false
 	}
-	off := addr % c.cfg.LineSize
-	for i := 0; i < 8; i++ {
-		l.data[off+int64(i)] ^= byte(mask >> (8 * uint(i)))
+	word := c.bytesOf(i)[addr%c.cfg.LineSize:]
+	for b := 0; b < 8; b++ {
+		word[b] ^= byte(mask >> (8 * uint(b)))
 	}
-	l.parityBad = true
+	c.lines[i].parityBad = true
 	c.ParityFlips++
 	return true
 }
@@ -191,8 +194,8 @@ func (c *Cache) FlipBits(addr int64, mask uint64) bool {
 // counting the detection. The caller (the CPU's load path) must
 // invalidate and refill before consuming data.
 func (c *Cache) ParityBad(addr int64) bool {
-	l := c.find(addr)
-	if l == nil || !l.parityBad {
+	i := c.find(addr)
+	if i < 0 || !c.lines[i].parityBad {
 		return false
 	}
 	c.ParityHits++
@@ -203,8 +206,8 @@ func (c *Cache) ParityBad(addr int64) bool {
 // it was. Used both for explicit flushes after cached remote reads (§4.4)
 // and for the shell's cache-invalidate mode on incoming remote writes.
 func (c *Cache) Invalidate(addr int64) bool {
-	if l := c.find(addr); l != nil {
-		l.valid = false
+	if i := c.find(addr); i >= 0 {
+		c.lines[i].valid = false
 		return true
 	}
 	return false
@@ -213,33 +216,29 @@ func (c *Cache) Invalidate(addr int64) bool {
 // InvalidateAll empties the cache (the batched whole-cache flush the
 // paper's bulk cached-read path uses beyond 8 KB, §6.2 note 3).
 func (c *Cache) InvalidateAll() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi].valid = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
 }
 
 // ResidentLines counts valid lines (test/probe helper).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			n++
 		}
 	}
 	return n
 }
 
-func (c *Cache) mustFind(addr int64, n int) *line {
+func (c *Cache) mustFind(addr int64, n int) int64 {
 	if addr%c.cfg.LineSize+int64(n) > c.cfg.LineSize {
 		panic("cache: access crosses a line boundary")
 	}
-	l := c.find(addr)
-	if l == nil {
+	i := c.find(addr)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: data access to non-resident address %#x", addr))
 	}
-	return l
+	return i
 }

@@ -120,14 +120,30 @@ func DefaultSawtoothConfig() SawtoothConfig {
 
 // Sawtooth runs the stimulus of §2.2 against a fresh machine per (size,
 // stride) point: step through an array of a given size with a given
-// stride, and report the average time per operation.
+// stride, and report the average time per operation. The points are
+// independent and run concurrently (sim.Points).
 func Sawtooth(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig) Profile {
-	prof := Profile{Label: probe.Name}
+	return sweep(probe.Name, cfg, func(size, stride int64) float64 {
+		return sawtoothPoint(newMachine, probe, cfg, size, stride)
+	})
+}
+
+// sweep measures every (size, stride) point of cfg with sim.Points and
+// assembles the curves in size order, strides ascending.
+func sweep(label string, cfg SawtoothConfig, point func(size, stride int64) float64) Profile {
+	var grid [][2]int64
+	for _, size := range cfg.Sizes {
+		for _, stride := range StridesFor(size) {
+			grid = append(grid, [2]int64{size, stride})
+		}
+	}
+	avgs := sim.Points(len(grid), func(i int) float64 { return point(grid[i][0], grid[i][1]) })
+	prof := Profile{Label: label}
 	for _, size := range cfg.Sizes {
 		curve := Curve{ArraySize: size}
 		for _, stride := range StridesFor(size) {
-			avg := sawtoothPoint(newMachine, probe, cfg, size, stride)
-			curve.Points = append(curve.Points, Point{size, stride, avg})
+			curve.Points = append(curve.Points, Point{size, stride, avgs[0]})
+			avgs = avgs[1:]
 		}
 		prof.Curves = append(prof.Curves, curve)
 	}
@@ -136,6 +152,7 @@ func Sawtooth(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig) P
 
 func sawtoothPoint(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConfig, size, stride int64) float64 {
 	m := newMachine()
+	defer m.Eng.Shutdown()
 	var avg float64
 	m.RunOn(0, func(p *sim.Proc, n *machine.Node) {
 		if probe.Setup != nil {
@@ -170,35 +187,30 @@ func sawtoothPoint(newMachine func() *machine.T3D, probe Probe, cfg SawtoothConf
 // SawtoothWorkstation runs the same stimulus on the DEC Alpha
 // workstation model (Figure 1, right side).
 func SawtoothWorkstation(probe WSProbe, cfg SawtoothConfig) Profile {
-	prof := Profile{Label: probe.Name}
-	for _, size := range cfg.Sizes {
-		curve := Curve{ArraySize: size}
-		for _, stride := range StridesFor(size) {
-			w := machine.NewWorkstation()
-			//lint:allow sharedstate Workstation.Run drives a single CPU, so the writer is unique; the 2-proc weight is the pass's replicated-Run approximation
-			var avg float64
-			w.Run(func(p *sim.Proc, c *cpu.CPU) {
-				perPass := size / stride
-				passes := int(cfg.MinAccesses/perPass) + 1
-				onePass := func() {
-					for off := int64(0); off < size; off += stride {
-						probe.Access(p, c, cfg.Base+off)
-					}
+	return sweep(probe.Name, cfg, func(size, stride int64) float64 {
+		w := machine.NewWorkstation()
+		defer w.Eng.Shutdown()
+		//lint:allow sharedstate Workstation.Run drives a single CPU, so the writer is unique; the 2-proc weight is the pass's replicated-Run approximation
+		var avg float64
+		w.Run(func(p *sim.Proc, c *cpu.CPU) {
+			perPass := size / stride
+			passes := int(cfg.MinAccesses/perPass) + 1
+			onePass := func() {
+				for off := int64(0); off < size; off += stride {
+					probe.Access(p, c, cfg.Base+off)
 				}
-				for i := 0; i < cfg.WarmPasses; i++ {
-					onePass()
-				}
-				start := p.Now()
-				for r := 0; r < passes; r++ {
-					onePass()
-				}
-				avg = float64(p.Now()-start) / float64(int64(passes)*(size/stride)) * cpu.NSPerCycle
-			})
-			curve.Points = append(curve.Points, Point{size, stride, avg})
-		}
-		prof.Curves = append(prof.Curves, curve)
-	}
-	return prof
+			}
+			for i := 0; i < cfg.WarmPasses; i++ {
+				onePass()
+			}
+			start := p.Now()
+			for r := 0; r < passes; r++ {
+				onePass()
+			}
+			avg = float64(p.Now()-start) / float64(int64(passes)*(size/stride)) * cpu.NSPerCycle
+		})
+		return avg
+	})
 }
 
 // WSProbe is a probe against the workstation model.

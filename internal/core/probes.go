@@ -119,9 +119,10 @@ type PrefetchPoint struct {
 // `group` prefetches, popping them, and storing the results locally
 // (Figure 6). With group < 4 a memory barrier precedes the pops (§5.2).
 func PrefetchProbe(newMachine func() *machine.T3D, groups []int, reps int) []PrefetchPoint {
-	var out []PrefetchPoint
-	for _, g := range groups {
+	return sim.Points(len(groups), func(gi int) PrefetchPoint {
+		g := groups[gi]
 		m := newMachine()
+		defer m.Eng.Shutdown()
 		var avg float64
 		m.RunOn(0, func(p *sim.Proc, n *machine.Node) {
 			n.Shell.SetAnnex(p, 1, 1, false)
@@ -144,9 +145,8 @@ func PrefetchProbe(newMachine func() *machine.T3D, groups []int, reps int) []Pre
 			}
 			avg = float64(p.Now()-start) / float64(reps*g) * cpu.NSPerCycle
 		})
-		out = append(out, PrefetchPoint{g, avg})
-	}
-	return out
+		return PrefetchPoint{g, avg}
+	})
 }
 
 // BandwidthPoint is one measurement of the §6.2 bulk-transfer comparison.

@@ -308,8 +308,9 @@ func (c *CPU) store(p *sim.Proc, va int64, v uint64, size int) {
 		p.Wait(pen)
 	}
 	p.Wait(c.Costs.StoreIssue)
-	//lint:allow hotalloc per-store staging copy retained by the write buffer until drain; buffer pooling is the ROADMAP item-1 follow-up
-	data := make([]byte, size)
+	// Staged on the stack: the cache and the write buffer copy the bytes.
+	var buf [8]byte
+	data := buf[:size]
 	putWord(data, v)
 	// Write-through: update a resident line (local or cached-remote).
 	c.L1.WriteData(pa, data)

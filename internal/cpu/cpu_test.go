@@ -296,3 +296,27 @@ func TestByteIndexRangePanics(t *testing.T) {
 		c.ExtractByte(p, 0, 8)
 	})
 }
+
+// TestMergingStoreAllocatesNothing: a store that merges into a pending
+// write-buffer entry stages its bytes on the stack, and the cache and
+// the buffer copy them, so the steady-state store path allocates 0.
+func TestMergingStoreAllocatesNothing(t *testing.T) {
+	runCPU(t, newLocalCPU, func(p *sim.Proc, c *CPU) {
+		c.Load64(p, 0x1000) // resident line: the store also writes through L1
+		for i := int64(1); i <= 3; i++ {
+			c.Store64(p, 0x10000*i, 1) // entries queued ahead, draining in turn
+		}
+		c.Store64(p, 0x1000, 2) // pending entry the measured stores merge into
+		merges := c.WB.Merges
+		allocs := testing.AllocsPerRun(1, func() { c.Store64(p, 0x1008, 3) })
+		if got := c.WB.Merges - merges; got != 2 {
+			t.Fatalf("%d of 2 stores merged; premise broken", got)
+		}
+		if allocs != 0 {
+			t.Errorf("merging store allocated %.0f times, want 0", allocs)
+		}
+		if v := c.Load64(p, 0x1008); v != 3 {
+			t.Errorf("load after merged store = %d, want 3", v)
+		}
+	})
+}

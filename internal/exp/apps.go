@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
@@ -39,25 +40,6 @@ func runApps(o Options) []report.Table {
 		}
 	}
 
-	hist := report.Table{
-		Title:   "Histogram: three update strategies (4 PEs)",
-		Headers: []string{"strategy", "cycles", "µs", "validated"},
-	}
-	for _, m := range []apps.HistogramMethod{apps.HistLocalReduce, apps.HistAM, apps.HistRemoteRMW} {
-		res := apps.Histogram(appsRT(4), keys, 16, m)
-		hist.AddRow(m.String(), res.Cycles,
-			fmt.Sprintf("%.1f", float64(res.Cycles)*cpu.NSPerCycle/1e3), res.Validated)
-	}
-	hist.Note = "bulk-synchronous local counts win; shipping updates as active messages beats lock-protected remote read-modify-write"
-
-	other := report.Table{
-		Title:   "Sample sort and matrix multiply (4 PEs)",
-		Headers: []string{"kernel", "size", "cycles", "µs", "validated"},
-	}
-	ss := apps.SampleSort(appsRT(4), keys)
-	other.AddRow("sample sort", fmt.Sprintf("%d keys", ss.Keys), ss.Cycles,
-		fmt.Sprintf("%.1f", float64(ss.Cycles)*cpu.NSPerCycle/1e3), ss.Validated)
-
 	const n = 16
 	a := make([][]float64, n)
 	for i := range a {
@@ -66,9 +48,46 @@ func runApps(o Options) []report.Table {
 			a[i][j] = rng.Float64()
 		}
 	}
-	mm := apps.MatMul(appsRT(4), a)
-	other.AddRow("matmul", fmt.Sprintf("%dx%d", n, n), mm.Cycles,
-		fmt.Sprintf("%.1f", float64(mm.Cycles)*cpu.NSPerCycle/1e3), mm.Validated)
+	us := func(cycles int64) string { return fmt.Sprintf("%.1f", float64(cycles)*cpu.NSPerCycle/1e3) }
 
-	return []report.Table{hist, other}
+	// Every kernel run gets its own machine, so both tables and the
+	// runs inside each are independent points.
+	hist := func() report.Table {
+		t := report.Table{
+			Title:   "Histogram: three update strategies (4 PEs)",
+			Headers: []string{"strategy", "cycles", "µs", "validated"},
+		}
+		methods := []apps.HistogramMethod{apps.HistLocalReduce, apps.HistAM, apps.HistRemoteRMW}
+		results := sim.Points(len(methods), func(i int) apps.HistogramResult {
+			rt := appsRT(4)
+			defer rt.M.Eng.Shutdown()
+			return apps.Histogram(rt, keys, 16, methods[i])
+		})
+		for i, res := range results {
+			t.AddRow(methods[i].String(), res.Cycles, us(res.Cycles), res.Validated)
+		}
+		t.Note = "bulk-synchronous local counts win; shipping updates as active messages beats lock-protected remote read-modify-write"
+		return t
+	}
+	other := func() report.Table {
+		t := report.Table{
+			Title:   "Sample sort and matrix multiply (4 PEs)",
+			Headers: []string{"kernel", "size", "cycles", "µs", "validated"},
+		}
+		rows := sim.Points(2, func(i int) []any {
+			rt := appsRT(4)
+			defer rt.M.Eng.Shutdown()
+			if i == 0 {
+				ss := apps.SampleSort(rt, keys)
+				return []any{"sample sort", fmt.Sprintf("%d keys", ss.Keys), ss.Cycles, us(ss.Cycles), ss.Validated}
+			}
+			mm := apps.MatMul(rt, a)
+			return []any{"matmul", fmt.Sprintf("%dx%d", n, n), mm.Cycles, us(mm.Cycles), mm.Validated}
+		})
+		for _, r := range rows {
+			t.AddRow(r...)
+		}
+		return t
+	}
+	return tables(hist, other)
 }

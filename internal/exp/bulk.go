@@ -26,6 +26,7 @@ func bulkSizes(o Options) []int64 {
 // bulkReadMBs measures one (mechanism, size) bulk-read bandwidth.
 func bulkReadMBs(mech splitc.Mechanism, n int64) float64 {
 	rt := splitc.NewRuntime(machine.New(machine.DefaultConfig(2)), splitc.DefaultConfig())
+	defer rt.M.Eng.Shutdown()
 	var cycles sim.Time
 	rt.RunOn(0, func(c *splitc.Ctx) {
 		c.Alloc(n)
@@ -48,6 +49,7 @@ func bulkReadMBs(mech splitc.Mechanism, n int64) float64 {
 // bulkWriteMBs measures one (mechanism, size) bulk-write bandwidth.
 func bulkWriteMBs(mech splitc.Mechanism, n int64) float64 {
 	rt := splitc.NewRuntime(machine.New(machine.DefaultConfig(2)), splitc.DefaultConfig())
+	defer rt.M.Eng.Shutdown()
 	var cycles sim.Time
 	rt.RunOn(0, func(c *splitc.Ctx) {
 		src := c.Alloc(n)
@@ -67,6 +69,21 @@ func bulkWriteMBs(mech splitc.Mechanism, n int64) float64 {
 	return core.Bandwidth(n, cycles)
 }
 
+// bulkTable measures every (size, mechanism) bandwidth point and lays
+// them out one row per size.
+func bulkTable(title string, headers []string, sizes []int64, mechs []splitc.Mechanism, mbs func(splitc.Mechanism, int64) float64) report.Table {
+	nm := len(mechs)
+	cells := sim.Points(len(sizes)*nm, func(i int) string {
+		return fmt.Sprintf("%.1f", mbs(mechs[i%nm], sizes[i/nm]))
+	})
+	t := report.Table{Title: title, Headers: headers}
+	for si, n := range sizes {
+		row := []string{report.Bytes(n)}
+		t.Rows = append(t.Rows, append(row, cells[si*nm:(si+1)*nm]...))
+	}
+	return t
+}
+
 func init() {
 	register(Experiment{
 		ID:    "fig8",
@@ -74,29 +91,20 @@ func init() {
 		Paper: "reads: uncached best at 8 B, cached best only at 32–64 B, prefetch best 128 B–16 KB, BLT best beyond (peak ≈140 MB/s); writes: stores beat the BLT at every size, peaking ≈90 MB/s; Split-C follows the winner with the crossover at ≈16 KB.",
 		Run: func(o Options) []report.Table {
 			sizes := bulkSizes(o)
-			read := report.Table{
-				Title:   "Figure 8 (left): bulk read bandwidth (MB/s)",
-				Headers: []string{"bytes", "uncached", "cached", "prefetch", "BLT", "Split-C"},
-			}
-			for _, n := range sizes {
-				row := []string{report.Bytes(n)}
-				for _, mech := range []splitc.Mechanism{splitc.MechUncached, splitc.MechCached, splitc.MechPrefetch, splitc.MechBLT, splitc.MechAuto} {
-					row = append(row, fmt.Sprintf("%.1f", bulkReadMBs(mech, n)))
-				}
-				read.Rows = append(read.Rows, row)
-			}
-			write := report.Table{
-				Title:   "Figure 8 (right): bulk write bandwidth (MB/s)",
-				Headers: []string{"bytes", "stores", "BLT", "Split-C"},
-			}
-			for _, n := range sizes {
-				row := []string{report.Bytes(n)}
-				for _, mech := range []splitc.Mechanism{splitc.MechStore, splitc.MechBLT, splitc.MechAuto} {
-					row = append(row, fmt.Sprintf("%.1f", bulkWriteMBs(mech, n)))
-				}
-				write.Rows = append(write.Rows, row)
-			}
-			return []report.Table{read, write}
+			return tables(
+				func() report.Table {
+					return bulkTable("Figure 8 (left): bulk read bandwidth (MB/s)",
+						[]string{"bytes", "uncached", "cached", "prefetch", "BLT", "Split-C"}, sizes,
+						[]splitc.Mechanism{splitc.MechUncached, splitc.MechCached, splitc.MechPrefetch, splitc.MechBLT, splitc.MechAuto},
+						bulkReadMBs)
+				},
+				func() report.Table {
+					return bulkTable("Figure 8 (right): bulk write bandwidth (MB/s)",
+						[]string{"bytes", "stores", "BLT", "Split-C"}, sizes,
+						[]splitc.Mechanism{splitc.MechStore, splitc.MechBLT, splitc.MechAuto},
+						bulkWriteMBs)
+				},
+			)
 		},
 	})
 }

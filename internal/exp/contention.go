@@ -50,9 +50,11 @@ func runHotspot(o Options) []report.Table {
 	if o.Quick {
 		reads = 64
 	}
-	var base float64
-	for _, k := range []int{1, 2, 4, 7} {
+	readers := []int{1, 2, 4, 7}
+	avgs := sim.Points(len(readers), func(i int) float64 {
+		k := readers[i]
 		m := machine.New(machine.DefaultConfig(8))
+		defer m.Eng.Shutdown()
 		var total sim.Time
 		done := 0
 		for r := 1; r <= k; r++ {
@@ -68,11 +70,10 @@ func runHotspot(o Options) []report.Table {
 			})
 		}
 		m.Eng.Run()
-		avg := float64(total) / float64(done*reads)
-		if k == 1 {
-			base = avg
-		}
-		t.AddRow(k, fmt.Sprintf("%.1f", avg), fmt.Sprintf("%.2fx", avg/base))
+		return float64(total) / float64(done*reads)
+	})
+	for i, k := range readers {
+		t.AddRow(k, fmt.Sprintf("%.1f", avgs[i]), fmt.Sprintf("%.2fx", avgs[i]/avgs[0]))
 	}
 	t.Note = "single-reader latency matches §4.2; additional readers serialize at the hot node's DRAM banks and response port"
 	return []report.Table{t}
@@ -88,7 +89,8 @@ func runScale(o Options) []report.Table {
 	if o.Quick {
 		sizes = []int{8, 64, 512}
 	}
-	for _, n := range sizes {
+	rows := sim.Points(len(sizes), func(i int) []any {
+		n := sizes[i]
 		cfg := machine.DefaultConfig(n)
 		m := machine.New(cfg)
 		far := 0
@@ -99,9 +101,11 @@ func runScale(o Options) []report.Table {
 				far = pe
 			}
 		}
+		m.Eng.Shutdown()
 		read := func(target int) float64 {
 			var avg float64
 			mm := machine.New(cfg)
+			defer mm.Eng.Shutdown()
 			mm.RunOn(0, func(p *sim.Proc, nd *machine.Node) {
 				nd.Shell.SetAnnex(p, 1, target, false)
 				start := p.Now()
@@ -115,8 +119,11 @@ func runScale(o Options) []report.Table {
 		}
 		adj, farCy := read(1), read(far)
 		perHop := (farCy - adj) / float64(maxHops-1) / 2
-		t.AddRow(n, fmt.Sprintf("%v", cfg.Net.Shape), fmt.Sprintf("%.1f", adj),
-			fmt.Sprintf("%.1f (%d hops)", farCy, maxHops), fmt.Sprintf("%.1f", perHop))
+		return []any{n, fmt.Sprintf("%v", cfg.Net.Shape), fmt.Sprintf("%.1f", adj),
+			fmt.Sprintf("%.1f (%d hops)", farCy, maxHops), fmt.Sprintf("%.1f", perHop)}
+	})
+	for _, r := range rows {
+		t.AddRow(r...)
 	}
 	t.Note = "the 2-cycle/hop fabric keeps even a 2048-PE worst case within ~2x of adjacent latency — the flat-latency claim behind the T3D's shared-memory story"
 	return []report.Table{t}
@@ -133,10 +140,12 @@ func runAggregate(o Options) []report.Table {
 	if o.Quick {
 		block = 16 << 10
 	}
-	for _, n := range []int{2, 8, 32} {
-		cfg := machine.DefaultConfig(n)
+	pes := []int{2, 8, 32}
+	pers := sim.Points(len(pes), func(i int) float64 {
+		cfg := machine.DefaultConfig(pes[i])
 		cfg.MemBytes = 2 << 20
 		rt := splitc.NewRuntime(machine.New(cfg), splitc.DefaultConfig())
+		defer rt.M.Eng.Shutdown()
 		//lint:allow sharedstate PE 0 alone writes the measured cycles behind its MyPE guard; the host reads it after Run returns
 		var cycles sim.Time
 		rt.Run(func(c *splitc.Ctx) {
@@ -151,8 +160,10 @@ func runAggregate(o Options) []report.Table {
 				cycles = c.P.Now() - start
 			}
 		})
-		per := float64(block) / (float64(cycles) * cpu.NSPerCycle * 1e-9) / 1e6
-		t.AddRow(n, fmt.Sprintf("%.1f", per), fmt.Sprintf("%.1f", per*float64(n)))
+		return float64(block) / (float64(cycles) * cpu.NSPerCycle * 1e-9) / 1e6
+	})
+	for i, n := range pes {
+		t.AddRow(n, fmt.Sprintf("%.1f", pers[i]), fmt.Sprintf("%.1f", pers[i]*float64(n)))
 	}
 	t.Note = "per-PE bandwidth stays near the 90 MB/s single-sender peak: neighbor traffic uses disjoint links and distinct destination banks"
 	return []report.Table{t}
@@ -178,19 +189,15 @@ func runEM3DScale(o Options) []report.Table {
 		Title:   fmt.Sprintf("EM3D µs/edge vs machine size (%d nodes/PE, degree %d, 20%% remote)", nodes, degree),
 		Headers: []string{"PEs", "Get", "Bulk"},
 	}
-	for _, pes := range sizes {
+	versions := []em3d.Version{em3d.Get, em3d.Bulk}
+	nv := len(versions)
+	cfg := em3d.Config{NodesPerPE: nodes, Degree: degree, RemoteFrac: 0.2, Seed: 42, Iters: iters}
+	cells := sim.Points(len(sizes)*nv, func(i int) string {
+		return em3dCell(sizes[i/nv], cfg, versions[i%nv])
+	})
+	for si, pes := range sizes {
 		row := []string{fmt.Sprint(pes)}
-		for _, v := range []em3d.Version{em3d.Get, em3d.Bulk} {
-			m := em3d.NewMachine(pes)
-			cfg := em3d.Config{NodesPerPE: nodes, Degree: degree, RemoteFrac: 0.2, Seed: 42, Iters: iters}
-			res := em3d.Run(m, cfg, v, em3d.DefaultKnobs())
-			cell := fmt.Sprintf("%.3f", res.USPerEdge)
-			if !res.Validated {
-				cell += "(!)"
-			}
-			row = append(row, cell)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append(row, cells[si*nv:(si+1)*nv]...))
 	}
 	t.Note = "per-edge cost stays nearly flat: the remote fraction, not the machine size, sets the communication bill"
 	return []report.Table{t}

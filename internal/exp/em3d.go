@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/em3d"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 func init() {
@@ -54,26 +55,34 @@ func Fig9Table(scale Fig9Scale) report.Table {
 	for _, v := range em3d.Versions {
 		t.Headers = append(t.Headers, v.String())
 	}
-	for _, f := range scale.Fractions {
-		row := []string{fmt.Sprintf("%.0f", f*100)}
-		for _, v := range em3d.Versions {
-			m := em3d.NewMachine(scale.PEs)
-			cfg := em3d.Config{
-				NodesPerPE: scale.NodesPerPE,
-				Degree:     scale.Degree,
-				RemoteFrac: f,
-				Seed:       42,
-				Iters:      scale.Iters,
-			}
-			res := em3d.Run(m, cfg, v, em3d.DefaultKnobs())
-			cell := fmt.Sprintf("%.3f", res.USPerEdge)
-			if !res.Validated {
-				cell += "(!)"
-			}
-			row = append(row, cell)
+	nv := len(em3d.Versions)
+	cells := sim.Points(len(scale.Fractions)*nv, func(i int) string {
+		cfg := em3d.Config{
+			NodesPerPE: scale.NodesPerPE,
+			Degree:     scale.Degree,
+			RemoteFrac: scale.Fractions[i/nv],
+			Seed:       42,
+			Iters:      scale.Iters,
 		}
-		t.Rows = append(t.Rows, row)
+		return em3dCell(scale.PEs, cfg, em3d.Versions[i%nv])
+	})
+	for fi, f := range scale.Fractions {
+		row := []string{fmt.Sprintf("%.0f", f*100)}
+		t.Rows = append(t.Rows, append(row, cells[fi*nv:(fi+1)*nv]...))
 	}
 	t.Note = "values are µs per edge per processor; (!) marks a failed numerical validation"
 	return t
+}
+
+// em3dCell runs one EM3D version on a fresh machine and formats its
+// µs/edge, with (!) on a failed validation.
+func em3dCell(pes int, cfg em3d.Config, v em3d.Version) string {
+	m := em3d.NewMachine(pes)
+	defer m.Eng.Shutdown()
+	res := em3d.Run(m, cfg, v, em3d.DefaultKnobs())
+	cell := fmt.Sprintf("%.3f", res.USPerEdge)
+	if !res.Validated {
+		cell += "(!)"
+	}
+	return cell
 }

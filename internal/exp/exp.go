@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // Options tunes experiment scale.
@@ -73,6 +74,12 @@ func (e Experiment) RunAndRender(w io.Writer, o Options) {
 	for _, t := range e.Run(o) {
 		t.Render(w)
 	}
+}
+
+// tables builds an experiment's independent tables concurrently
+// (sim.Points) and returns them in argument order.
+func tables(build ...func() report.Table) []report.Table {
+	return sim.Points(len(build), func(i int) report.Table { return build[i]() })
 }
 
 // newT3D builds the standard 2-PE measurement machine.

@@ -32,11 +32,11 @@ func runFault(o Options) []report.Table {
 	if o.Quick {
 		msgs, keysPer, em.NodesPerPE = 30, 24, 20
 	}
-	return []report.Table{
-		amFaultTable(msgs),
-		sortFaultTable(keysPer),
-		em3dFaultTable(em),
-	}
+	return tables(
+		func() report.Table { return amFaultTable(msgs) },
+		func() report.Table { return sortFaultTable(keysPer) },
+		func() report.Table { return em3dFaultTable(em) },
+	)
 }
 
 func split(rate float64) fault.Config {
@@ -50,10 +50,14 @@ func amFaultTable(msgs int) report.Table {
 		Title:   fmt.Sprintf("Reliable active messages: %d-message stream vs fault rate (2 PEs)", msgs),
 		Headers: []string{"fault rate", "cycles", "slowdown", "retransmits", "injected"},
 	}
-	var base sim.Time
-	for _, rate := range faultRates {
+	type point struct {
+		end                   sim.Time
+		retransmits, injected int64
+	}
+	pts := sim.Points(len(faultRates), func(i int) point {
 		m := machine.New(machine.DefaultConfig(2))
-		in := fault.Inject(m, split(rate))
+		defer m.Eng.Shutdown()
+		in := fault.Inject(m, split(faultRates[i]))
 		rt := splitc.NewRuntime(m, splitc.DefaultConfig())
 		//lint:allow sharedstate written only on PE 1: the early return on PE 0 is a PE guard expressed as control flow the pass does not model
 		var retransmits int64
@@ -70,15 +74,15 @@ func amFaultTable(msgs int) report.Table {
 			ep.Flush()
 			retransmits = ep.Retransmits
 		})
-		if rate == 0 {
-			base = end
-		}
+		return point{end, retransmits, in.Drops + in.Corrupts}
+	})
+	for i, p := range pts {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f%%", rate*100),
-			fmt.Sprintf("%d", end),
-			fmt.Sprintf("%.2fx", float64(end)/float64(base)),
-			fmt.Sprintf("%d", retransmits),
-			fmt.Sprintf("%d", in.Drops+in.Corrupts),
+			fmt.Sprintf("%.0f%%", faultRates[i]*100),
+			fmt.Sprintf("%d", p.end),
+			fmt.Sprintf("%.2fx", float64(p.end)/float64(pts[0].end)),
+			fmt.Sprintf("%d", p.retransmits),
+			fmt.Sprintf("%d", p.injected),
 		})
 	}
 	t.Note = "sequence numbers + checksums detect damage; go-back-N retransmission with exponential backoff recovers it"
@@ -92,28 +96,32 @@ func sortFaultTable(keysPer int) report.Table {
 		Title:   fmt.Sprintf("Sample sort under faults: %d keys/PE (4 PEs, reliable runtime)", keysPer),
 		Headers: []string{"fault rate", "cycles", "slowdown", "rewrites", "injected", "sorted"},
 	}
-	var base int64
-	for _, rate := range faultRates {
+	type point struct {
+		res                apps.SampleSortResult
+		rewrites, injected int64
+	}
+	pts := sim.Points(len(faultRates), func(i int) point {
 		cfg := machine.DefaultConfig(4)
 		cfg.MemBytes = 2 << 20
 		m := machine.New(cfg)
-		in := fault.Inject(m, split(rate))
+		defer m.Eng.Shutdown()
+		in := fault.Inject(m, split(faultRates[i]))
 		rt := splitc.NewRuntime(m, splitc.ReliableConfig())
 		rng := rand.New(rand.NewSource(3))
 		res := apps.SampleSort(rt, randFaultKeys(rng, 4, keysPer))
-		if rate == 0 {
-			base = res.Cycles
-		}
+		return point{res, rt.Rewrites, in.Drops + in.Corrupts}
+	})
+	for i, p := range pts {
 		ok := "yes"
-		if !res.Validated {
+		if !p.res.Validated {
 			ok = "NO"
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f%%", rate*100),
-			fmt.Sprintf("%d", res.Cycles),
-			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(base)),
-			fmt.Sprintf("%d", rt.Rewrites),
-			fmt.Sprintf("%d", in.Drops+in.Corrupts),
+			fmt.Sprintf("%.0f%%", faultRates[i]*100),
+			fmt.Sprintf("%d", p.res.Cycles),
+			fmt.Sprintf("%.2fx", float64(p.res.Cycles)/float64(pts[0].res.Cycles)),
+			fmt.Sprintf("%d", p.rewrites),
+			fmt.Sprintf("%d", p.injected),
 			ok,
 		})
 	}
@@ -129,22 +137,21 @@ func em3dFaultTable(cfg em3d.Config) report.Table {
 			cfg.NodesPerPE, cfg.Degree, cfg.RemoteFrac*100),
 		Headers: []string{"fault rate", "cycles", "slowdown", "rewrites", "validated"},
 	}
-	var base sim.Time
-	for _, rate := range faultRates {
+	results := sim.Points(len(faultRates), func(i int) em3d.Result {
 		m := em3d.NewMachine(4)
-		fault.Inject(m, split(rate))
-		res := em3d.Run(m, cfg, em3d.Put, em3d.DefaultKnobs())
-		if rate == 0 {
-			base = res.Cycles
-		}
+		defer m.Eng.Shutdown()
+		fault.Inject(m, split(faultRates[i]))
+		return em3d.Run(m, cfg, em3d.Put, em3d.DefaultKnobs())
+	})
+	for i, res := range results {
 		ok := "yes"
 		if !res.Validated {
 			ok = "NO"
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f%%", rate*100),
+			fmt.Sprintf("%.0f%%", faultRates[i]*100),
 			fmt.Sprintf("%d", res.Cycles),
-			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(base)),
+			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(results[0].Cycles)),
 			fmt.Sprintf("%d", res.Rewrites),
 			ok,
 		})

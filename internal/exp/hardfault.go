@@ -27,17 +27,19 @@ func runHardFault(o Options) []report.Table {
 	if o.Quick {
 		em.NodesPerPE = 16
 	}
-	return []report.Table{
-		deadLinkTable(em),
-		rollbackTable(em),
-		partitionTable(em),
-	}
+	return tables(
+		func() report.Table { return deadLinkTable(em) },
+		func() report.Table { return rollbackTable(em) },
+		func() report.Table { return partitionTable(em) },
+	)
 }
 
 // em3dHardRun executes one recoverable EM3D Put run under the given
-// fault config and returns the machine for fabric-level stats.
+// fault config and returns the machine, already shut down, for
+// fabric-level stats.
 func em3dHardRun(cfg em3d.Config, fcfg fault.Config) (em3d.Result, splitc.RecoveryStats, *machine.T3D, error) {
 	m := em3d.NewMachine(4)
+	defer m.Eng.Shutdown()
 	in := fault.Inject(m, fcfg)
 	res, stats, err := em3d.RunRecoverable(m, cfg, em3d.Put, em3d.DefaultKnobs(), splitc.RecoveryConfig{}, in)
 	return res, stats, m, err
@@ -65,7 +67,7 @@ func deadLinkTable(cfg em3d.Config) report.Table {
 	// Faults land in the first half of the fault-free runtime, so every
 	// scheduled failure fires before completion.
 	horizon := clean.Cycles / 2
-	for _, k := range []int{0, 1, 2, 3} {
+	rows := sim.Points(4, func(k int) []string {
 		fcfg := fault.Config{}
 		if k > 0 {
 			// Seed 18's first three link draws are distinct +x/+y links
@@ -80,15 +82,16 @@ func deadLinkTable(cfg em3d.Config) report.Table {
 			panic(fmt.Sprintf("exp: run with %d dead links failed: %v", k, err))
 		}
 		pkts, extra := m.Net.RerouteStats()
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			fmt.Sprintf("%d", m.Net.DeadLinks()),
 			fmt.Sprintf("%d", res.Cycles),
 			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(clean.Cycles)),
 			fmt.Sprintf("%d", pkts),
 			fmt.Sprintf("%d", extra),
 			identical(res.Digest, clean.Digest),
-		})
-	}
+		}
+	})
+	t.Rows = append(t.Rows, rows...)
 	t.Note = "deterministic deflection/BFS re-routing carries traffic around dead links; on 2-rings the detour has equal length, so inflation shows in rerouted packets before extra hops"
 	return t
 }
@@ -115,12 +118,13 @@ func rollbackTable(cfg em3d.Config) report.Table {
 		{"1 crash + 1 dead link", fault.Config{Seed: 5, HardLinkFaults: 1, HardNodeFaults: 1, Horizon: horizon}},
 		{"crash + link + 2% drops", fault.Config{Seed: 5, DropRate: 0.02, HardLinkFaults: 1, HardNodeFaults: 1, Horizon: horizon}},
 	}
-	for _, p := range plans {
+	rows := sim.Points(len(plans), func(i int) []string {
+		p := plans[i]
 		res, stats, _, err := em3dHardRun(cfg, p.fcfg)
 		if err != nil {
 			panic(fmt.Sprintf("exp: plan %q failed: %v", p.name, err))
 		}
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			p.name,
 			fmt.Sprintf("%d", stats.NodeCrashes),
 			fmt.Sprintf("%d", stats.Rollbacks),
@@ -128,8 +132,9 @@ func rollbackTable(cfg em3d.Config) report.Table {
 			fmt.Sprintf("%d", res.Cycles),
 			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(clean.Cycles)),
 			identical(res.Digest, clean.Digest),
-		})
-	}
+		}
+	})
+	t.Rows = append(t.Rows, rows...)
 	t.Note = "a crash zeroes the node's DRAM and cold-starts its cache; rollback restores the last checkpoint on every PE and replays the epoch — the slowdown is the replay"
 	return t
 }
@@ -147,6 +152,7 @@ func partitionTable(cfg em3d.Config) report.Table {
 		s.HardLinks = append(s.HardLinks, fault.HardLink{Node: 0, Dir: dir, At: sim.Time(3000 + dir)})
 	}
 	m := em3d.NewMachine(4)
+	defer m.Eng.Shutdown()
 	fault.NewInjector(s).Attach(m)
 	_, _, err := em3d.RunRecoverable(m, cfg, em3d.Put, em3d.DefaultKnobs(), splitc.RecoveryConfig{}, nil)
 	outcome := "COMPLETED (unexpected: partition went unnoticed)"

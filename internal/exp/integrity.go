@@ -29,12 +29,12 @@ func runIntegrity(o Options) []report.Table {
 		em.NodesPerPE = 16
 		keysPer = 24
 	}
-	return []report.Table{
-		memRateTable(em),
-		defenseLadderTable(em),
-		scrubPairingTable(),
-		auditOverheadTable(em, keysPer),
-	}
+	return tables(
+		func() report.Table { return memRateTable(em) },
+		func() report.Table { return defenseLadderTable(em) },
+		scrubPairingTable,
+		func() report.Table { return auditOverheadTable(em, keysPer) },
+	)
 }
 
 // aimAtData confines flips to the first 96 words of the heap — EM3D's H
@@ -57,10 +57,12 @@ func flipRate(flips int, horizon sim.Time, nodes int) float64 {
 
 // em3dIntegrityRun executes one recoverable EM3D Bulk run (the version
 // whose ghost exchange rides audited bulk transfers) with the integrity
-// stack armed, returning machine and injector for fault-level stats. MaxRollbacks is raised above the default: every uncorrectable
-// word alive at a checkpoint forces its own rollback.
+// stack armed, returning the machine (already shut down) and injector
+// for fault-level stats. MaxRollbacks is raised above the default: every
+// uncorrectable word alive at a checkpoint forces its own rollback.
 func em3dIntegrityRun(cfg em3d.Config, fcfg fault.Config) (em3d.Result, splitc.RecoveryStats, *machine.T3D, *fault.Injector, error) {
 	m := em3d.NewMachine(4)
+	defer m.Eng.Shutdown()
 	in := fault.Inject(m, fcfg)
 	res, stats, err := em3d.RunRecoverable(m, cfg, em3d.Bulk, em3d.DefaultKnobs(), splitc.RecoveryConfig{MaxRollbacks: 64}, in)
 	return res, stats, m, in, err
@@ -81,7 +83,9 @@ func memRateTable(cfg em3d.Config) report.Table {
 	// Flips land in the first half of the fault-free runtime, so every
 	// scheduled strike fires even on the no-rollback rows.
 	horizon := clean.Cycles / 2
-	for _, flips := range []int{0, 4, 12, 32} {
+	flipCounts := []int{0, 4, 12, 32}
+	rows := sim.Points(len(flipCounts), func(i int) []string {
+		flips := flipCounts[i]
 		fcfg := fault.Config{}
 		if flips > 0 {
 			fcfg = fault.Config{
@@ -99,7 +103,7 @@ func memRateTable(cfg em3d.Config) report.Table {
 			panic(fmt.Sprintf("exp: run with %d flips failed: %v", flips, err))
 		}
 		integ := fault.MemIntegrity(m)
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			fmt.Sprintf("%d", in.MemFlips+in.CacheFlips),
 			fmt.Sprintf("%d", integ.Corrected+integ.Scrubbed),
 			fmt.Sprintf("%d", integ.Poisoned),
@@ -108,8 +112,9 @@ func memRateTable(cfg em3d.Config) report.Table {
 			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(clean.Cycles)),
 			fmt.Sprintf("%d", integ.SilentReads),
 			identical(res.Digest, clean.Digest),
-		})
-	}
+		}
+	})
+	t.Rows = append(t.Rows, rows...)
 	t.Note = "singles are repaired by the ECC read pipe or the scrubber; multi-bit words poison their readers and roll the epoch back to the last checkpoint — silent reads must stay zero"
 	return t
 }
@@ -143,7 +148,8 @@ func defenseLadderTable(cfg em3d.Config) report.Table {
 		{"ECC + scrub", false, func(f *fault.Config) { f.Scrub = true; f.ScrubInterval = horizon / 16 }},
 		{"ECC + scrub + audit", true, func(f *fault.Config) { f.Scrub = true; f.ScrubInterval = horizon / 16 }},
 	}
-	for _, arm := range arms {
+	rows := sim.Points(len(arms), func(i int) []string {
+		arm := arms[i]
 		acfg := cfg
 		acfg.Audit = arm.audit
 		fcfg := base
@@ -156,15 +162,16 @@ func defenseLadderTable(cfg em3d.Config) report.Table {
 		} else if !res.Validated {
 			outcome = "completed, physics WRONG"
 		}
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			arm.name,
 			fmt.Sprintf("%d", integ.SilentReads),
 			fmt.Sprintf("%d", integ.Poisoned),
 			fmt.Sprintf("%d", stats.Rollbacks),
 			outcome,
 			bit,
-		})
-	}
+		}
+	})
+	t.Rows = append(t.Rows, rows...)
 	t.Note = "with ECC off the flips are consumed silently (every such read counts); with the stack armed the same strikes are corrected, poisoned, or rolled back — never silent"
 	return t
 }
@@ -181,14 +188,16 @@ func scrubPairingTable() report.Table {
 		Title:   fmt.Sprintf("Scrub interval vs fault pairing: %d single-bit flips into a %d-word hot set (1 PE, idle)", flips, 64),
 		Headers: []string{"scrub interval", "flips", "scrubbed", "paired (uncorrectable)", "latent faults"},
 	}
-	for _, p := range []struct {
+	intervals := []struct {
 		name     string
 		interval sim.Time
 	}{
 		{"off", 0},
 		{"horizon/64", horizon / 64},
 		{"horizon/512", horizon / 512},
-	} {
+	}
+	rows := sim.Points(len(intervals), func(i int) []string {
+		p := intervals[i]
 		fcfg := fault.Config{
 			Seed:          31,
 			MemFaultRate:  flipRate(flips, horizon, 1),
@@ -204,6 +213,7 @@ func scrubPairingTable() report.Table {
 		mcfg := machine.DefaultConfig(1)
 		mcfg.MemBytes = 128 << 10
 		m := machine.New(mcfg)
+		defer m.Eng.Shutdown()
 		in := fault.Inject(m, fcfg)
 		rt := splitc.NewRuntime(m, splitc.DefaultConfig())
 		rt.Run(func(c *splitc.Ctx) { c.Compute(horizon + 100) })
@@ -212,14 +222,15 @@ func scrubPairingTable() report.Table {
 		for _, n := range m.Nodes {
 			latent += n.DRAM.LatentWords()
 		}
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			p.name,
 			fmt.Sprintf("%d", in.MemFlips),
 			fmt.Sprintf("%d", integ.Scrubbed),
 			fmt.Sprintf("%d", integ.MultiWords),
 			fmt.Sprintf("%d", latent),
-		})
-	}
+		}
+	})
+	t.Rows = append(t.Rows, rows...)
 	t.Note = "nothing reads this memory, so the scrubber is the only repair path; SECDED cannot fix a pair, which is why scrub frequency — not correction strength — bounds the uncorrectable rate"
 	return t
 }
@@ -233,29 +244,23 @@ func auditOverheadTable(em em3d.Config, keysPer int) report.Table {
 		Title:   "End-to-end audit overhead, fault-free (4 PEs, recoverable runtime)",
 		Headers: []string{"workload", "audit", "cycles", "audits", "overhead"},
 	}
-	var emBase, ssBase int64
-	for _, audit := range []bool{false, true} {
-		cfg := em
-		cfg.Audit = audit
-		res, _, _, _, err := em3dIntegrityRun(cfg, fault.Config{})
-		if err != nil {
-			panic(fmt.Sprintf("exp: em3d audit=%v run failed: %v", audit, err))
+	// Points 0-1 are EM3D Bulk with the audit off and on, 2-3 sample sort.
+	type point struct{ cycles, audits int64 }
+	pts := sim.Points(4, func(i int) point {
+		audit := i%2 == 1
+		if i < 2 {
+			cfg := em
+			cfg.Audit = audit
+			res, _, _, _, err := em3dIntegrityRun(cfg, fault.Config{})
+			if err != nil {
+				panic(fmt.Sprintf("exp: em3d audit=%v run failed: %v", audit, err))
+			}
+			return point{int64(res.Cycles), res.Audits}
 		}
-		if !audit {
-			emBase = int64(res.Cycles)
-		}
-		t.Rows = append(t.Rows, []string{
-			"EM3D Bulk",
-			onOff(audit),
-			fmt.Sprintf("%d", res.Cycles),
-			fmt.Sprintf("%d", res.Audits),
-			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(emBase)),
-		})
-	}
-	for _, audit := range []bool{false, true} {
 		mcfg := machine.DefaultConfig(4)
 		mcfg.MemBytes = 2 << 20
 		m := machine.New(mcfg)
+		defer m.Eng.Shutdown()
 		scfg := splitc.ReliableConfig()
 		scfg.Audit = audit
 		rt := splitc.NewRuntime(m, scfg)
@@ -264,15 +269,19 @@ func auditOverheadTable(em em3d.Config, keysPer int) report.Table {
 		if err != nil {
 			panic(fmt.Sprintf("exp: samplesort audit=%v run failed: %v", audit, err))
 		}
-		if !audit {
-			ssBase = res.Cycles
+		return point{res.Cycles, rt.Audits}
+	})
+	for i, p := range pts {
+		workload, base := "EM3D Bulk", pts[0].cycles
+		if i >= 2 {
+			workload, base = "sample sort", pts[2].cycles
 		}
 		t.Rows = append(t.Rows, []string{
-			"sample sort",
-			onOff(audit),
-			fmt.Sprintf("%d", res.Cycles),
-			fmt.Sprintf("%d", rt.Audits),
-			fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(ssBase)),
+			workload,
+			onOff(i%2 == 1),
+			fmt.Sprintf("%d", p.cycles),
+			fmt.Sprintf("%d", p.audits),
+			fmt.Sprintf("%.2fx", float64(p.cycles)/float64(base)),
 		})
 	}
 	t.Note = "the audit re-reads each bulk region word-by-word over the network (~91 cycles/word uncached), so its price scales with bytes moved, not with cycles computed"

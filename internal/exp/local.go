@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 func sweepCfg(o Options) core.SawtoothConfig {
@@ -59,12 +60,14 @@ func init() {
 		Paper: "L1 hit 6.67 ns; T3D memory 145 ns (22 cy), off-page 205 ns, same-bank 264 ns; workstation shows an L2 plateau and a 300 ns memory time with a TLB inflection at 8 KB strides; no L2 on the T3D.",
 		Run: func(o Options) []report.Table {
 			cfg := sweepCfg(o)
-			t3d := core.Sawtooth(newT3D, core.LocalRead(), cfg)
-			ws := core.SawtoothWorkstation(core.WSRead(), cfg)
-			return []report.Table{
-				profileTable("Figure 1 (left): CRAY T3D local read latency (ns)", t3d),
-				profileTable("Figure 1 (right): DEC Alpha workstation read latency (ns)", ws),
-			}
+			return tables(
+				func() report.Table {
+					return profileTable("Figure 1 (left): CRAY T3D local read latency (ns)", core.Sawtooth(newT3D, core.LocalRead(), cfg))
+				},
+				func() report.Table {
+					return profileTable("Figure 1 (right): DEC Alpha workstation read latency (ns)", core.SawtoothWorkstation(core.WSRead(), cfg))
+				},
+			)
 		},
 	})
 
@@ -85,8 +88,9 @@ func init() {
 		Paper: "8 KB direct-mapped L1 with 32 B lines; 22-cycle memory access; no L2; huge pages (no TLB signature); 4-entry merging write buffer.",
 		Run: func(o Options) []report.Table {
 			cfg := sweepCfg(o)
-			read := core.Sawtooth(newT3D, core.LocalRead(), cfg)
-			write := core.Sawtooth(newT3D, core.LocalWrite(), cfg)
+			probes := []core.Probe{core.LocalRead(), core.LocalWrite()}
+			profs := sim.Points(len(probes), func(i int) core.Profile { return core.Sawtooth(newT3D, probes[i], cfg) })
+			read, write := profs[0], profs[1]
 			inf := core.InferMemory(&read)
 			plateau, _ := write.At(cfg.Sizes[len(cfg.Sizes)-1], 32)
 			t := report.Table{

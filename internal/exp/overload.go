@@ -107,6 +107,7 @@ func RunIncast(cfg IncastConfig) (IncastResult, error) {
 		mcfg.Net.FlitOcc = cfg.FlitOcc
 	}
 	m := machine.New(mcfg)
+	defer m.Eng.Shutdown()
 	rt := splitc.NewRuntime(m, splitc.DefaultConfig())
 	//lint:allow sharedstate built on the host before RunErr starts; the proc bodies only read the config
 	acfg := am.ReliableConfig()
@@ -210,11 +211,11 @@ func runOverload(o Options) []report.Table {
 	if o.Quick {
 		msgs = 80
 	}
-	return []report.Table{
-		goodputTable(pes, msgs),
-		fanInTable(pes, msgs),
-		deadlineTable(pes, msgs),
-	}
+	return tables(
+		func() report.Table { return goodputTable(pes, msgs) },
+		func() report.Table { return fanInTable(pes, msgs) },
+		func() report.Table { return deadlineTable(pes, msgs) },
+	)
 }
 
 func mustIncast(cfg IncastConfig) IncastResult {
@@ -233,10 +234,12 @@ func goodputTable(pes, msgs int) report.Table {
 			fan, msgs),
 		Headers: []string{"gap", "goodput none", "waste% none", "goodput static", "goodput adaptive", "p99 none", "p99 adaptive"},
 	}
-	for _, gap := range overloadGaps {
-		n := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Gap: gap, Mode: FlowNone})
-		s := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Gap: gap, Mode: FlowStatic})
-		a := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Gap: gap, Mode: FlowAdaptive})
+	modes := []FlowControl{FlowNone, FlowStatic, FlowAdaptive}
+	res := sim.Points(len(overloadGaps)*3, func(i int) IncastResult {
+		return mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Gap: overloadGaps[i/3], Mode: modes[i%3]})
+	})
+	for i, gap := range overloadGaps {
+		n, s, a := res[3*i], res[3*i+1], res[3*i+2]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", gap),
 			fmt.Sprintf("%.2f/kcyc", n.Goodput()),
@@ -265,9 +268,13 @@ func fanInTable(pes, msgs int) report.Table {
 		Title:   fmt.Sprintf("Incast goodput vs fan-in at open throttle, %d msgs/sender (8 PEs)", msgs),
 		Headers: []string{"fan-in", "goodput none", "retrans none", "goodput adaptive", "retrans adaptive", "marks echoed"},
 	}
-	for _, fan := range []int{1, 3, 7} {
-		n := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Mode: FlowNone})
-		a := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Mode: FlowAdaptive})
+	fans := []int{1, 3, 7}
+	modes := []FlowControl{FlowNone, FlowAdaptive}
+	res := sim.Points(len(fans)*2, func(i int) IncastResult {
+		return mustIncast(IncastConfig{PEs: pes, FanIn: fans[i/2], Msgs: msgs, Mode: modes[i%2]})
+	})
+	for i, fan := range fans {
+		n, a := res[2*i], res[2*i+1]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d→1", fan),
 			fmt.Sprintf("%.2f/kcyc", n.Goodput()),
@@ -290,8 +297,12 @@ func deadlineTable(pes, msgs int) report.Table {
 		Title:   fmt.Sprintf("Deadline-bounded incast: %d→1 open throttle, adaptive (8 PEs)", fan),
 		Headers: []string{"ttl", "delivered", "expired", "p99", "max late"},
 	}
-	for _, ttl := range []sim.Time{0, 200000, 50000, 10000} {
-		r := mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Mode: FlowAdaptive, TTL: ttl})
+	ttls := []sim.Time{0, 200000, 50000, 10000}
+	res := sim.Points(len(ttls), func(i int) IncastResult {
+		return mustIncast(IncastConfig{PEs: pes, FanIn: fan, Msgs: msgs, Mode: FlowAdaptive, TTL: ttls[i]})
+	})
+	for i, r := range res {
+		ttl := ttls[i]
 		label := fmt.Sprintf("%d", ttl)
 		if ttl == 0 {
 			label = "none"

@@ -2,12 +2,15 @@ package exp
 
 import (
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // The extH acceptance criteria, pinned as tests: deterministic results,
 // goodput collapse past saturation without backpressure, sustained
 // goodput with the adaptive window, and the expiry contract (nothing
-// dispatched past its budget).
+// dispatched past its budget). Every run builds its own machine, so the
+// tests run in parallel.
 
 // incastOverload is the full-scale saturated incast: 7 senders at open
 // throttle against one receiver, 200 messages each.
@@ -23,18 +26,14 @@ func incastKnee(mode FlowControl) IncastConfig {
 	return cfg
 }
 
+// TestIncastDeterministic runs the same config twice at once: the runs
+// share no state, so they must agree exactly.
 func TestIncastDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := incastOverload(FlowNone)
-	first, err := RunIncast(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunIncast(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Errorf("identical configs diverged:\n  %+v\n  %+v", first, second)
+	runs := sim.Points(2, func(int) IncastResult { return mustIncast(cfg) })
+	if runs[0] != runs[1] {
+		t.Errorf("identical configs diverged:\n  %+v\n  %+v", runs[0], runs[1])
 	}
 }
 
@@ -42,6 +41,7 @@ func TestIncastDeterministic(t *testing.T) {
 // saturated incast overruns the receive queue and goodput collapses to
 // less than half the same arm's below-saturation peak.
 func TestIncastCollapseWithoutBackpressure(t *testing.T) {
+	t.Parallel()
 	over, err := RunIncast(incastOverload(FlowNone))
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +65,7 @@ func TestIncastCollapseWithoutBackpressure(t *testing.T) {
 // — goodput stays within 20% of the arm's sweep peak, and the tail
 // latency stays orders of magnitude below the collapsed arm's.
 func TestIncastAdaptiveSustains(t *testing.T) {
+	t.Parallel()
 	over, err := RunIncast(incastOverload(FlowAdaptive))
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +97,7 @@ func TestIncastAdaptiveSustains(t *testing.T) {
 // message is either dispatched within its budget or explicitly expired —
 // none are lost, and none are dispatched late.
 func TestIncastExpiryContract(t *testing.T) {
+	t.Parallel()
 	cfg := incastOverload(FlowAdaptive)
 	cfg.TTL = 10000
 	r, err := RunIncast(cfg)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
@@ -35,8 +36,7 @@ func init() {
 				Title:   "§5.2 prefetch cost breakdown (cycles)",
 				Headers: []string{"component", "model", "paper"},
 			}
-			m := newT3D()
-			cfg := m.Config()
+			cfg := machine.DefaultConfig(2)
 			bd.AddRow("prefetch issue", fmt.Sprint(cfg.Costs.FetchIssue), "4")
 			bd.AddRow("memory barrier", fmt.Sprint(cfg.Costs.MBIssue), "4")
 			rt := cfg.Shell.FetchInject + 2 + cfg.Shell.RemoteReadProc + 22 +
@@ -51,9 +51,10 @@ func init() {
 // splitcGetSeries measures the Split-C get (annex setup, table
 // management, pop, local store) per group size.
 func splitcGetSeries(groups []int, reps int) []float64 {
-	out := make([]float64, len(groups))
-	for gi, g := range groups {
+	return sim.Points(len(groups), func(gi int) float64 {
+		g := groups[gi]
 		rt := splitc.NewRuntime(machine.New(machine.DefaultConfig(2)), splitc.DefaultConfig())
+		defer rt.M.Eng.Shutdown()
 		var avg float64
 		rt.RunOn(0, func(c *splitc.Ctx) {
 			dst := c.Alloc(int64(g) * 8)
@@ -70,7 +71,6 @@ func splitcGetSeries(groups []int, reps int) []float64 {
 			}
 			avg = float64(c.P.Now()-start) / float64(reps*g) * cpu.NSPerCycle
 		})
-		out[gi] = avg
-	}
-	return out
+		return avg
+	})
 }

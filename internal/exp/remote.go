@@ -33,8 +33,10 @@ func splitcSeries(name string, strides []int64, op func(c *splitc.Ctx, g splitc.
 		Title:   name,
 		Headers: []string{"stride", "ns/op"},
 	}
-	for _, stride := range strides {
+	avgs := sim.Points(len(strides), func(i int) float64 {
+		stride := strides[i]
 		m := machine.New(machine.DefaultConfig(3))
+		defer m.Eng.Shutdown()
 		rt := splitc.NewRuntime(m, splitc.DefaultConfig())
 		var avg float64
 		rt.RunOn(0, func(c *splitc.Ctx) {
@@ -52,7 +54,10 @@ func splitcSeries(name string, strides []int64, op func(c *splitc.Ctx, g splitc.
 			c.Sync()
 			avg = float64(c.P.Now()-start) / reps * cpu.NSPerCycle
 		})
-		t.AddRow(report.Bytes(stride), fmt.Sprintf("%.1f", avg))
+		return avg
+	})
+	for i, stride := range strides {
+		t.AddRow(report.Bytes(stride), fmt.Sprintf("%.1f", avgs[i]))
 	}
 	return t
 }
@@ -64,16 +69,19 @@ func init() {
 		Paper: "uncached ≈610 ns (91 cy); cached line fill ≈765 ns (114 cy); +100 ns off-page beyond 16 KB strides; Split-C read ≈850 ns (128 cy) including annex setup.",
 		Run: func(o Options) []report.Table {
 			cfg := remoteSweepCfg(o)
-			unc := core.Sawtooth(newT3D, core.RemoteReadUncached(), cfg)
-			cch := core.Sawtooth(newT3D, core.RemoteReadCached(), cfg)
-			sc := splitcSeries("Split-C read (blocking, annex setup each access)",
-				[]int64{8, 32, 1 << 10, 16 << 10},
-				func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Read(g) })
-			return []report.Table{
-				profileTable("Figure 4a: uncached remote read (ns)", unc),
-				profileTable("Figure 4b: cached remote read (ns)", cch),
-				sc,
-			}
+			return tables(
+				func() report.Table {
+					return profileTable("Figure 4a: uncached remote read (ns)", core.Sawtooth(newT3D, core.RemoteReadUncached(), cfg))
+				},
+				func() report.Table {
+					return profileTable("Figure 4b: cached remote read (ns)", core.Sawtooth(newT3D, core.RemoteReadCached(), cfg))
+				},
+				func() report.Table {
+					return splitcSeries("Split-C read (blocking, annex setup each access)",
+						[]int64{8, 32, 1 << 10, 16 << 10},
+						func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Read(g) })
+				},
+			)
 		},
 	})
 
@@ -83,14 +91,16 @@ func init() {
 		Paper: "blocking remote write ≈850 ns (130 cy); Split-C write ≈981 ns (147 cy).",
 		Run: func(o Options) []report.Table {
 			cfg := remoteSweepCfg(o)
-			blk := core.Sawtooth(newT3D, core.RemoteWriteBlocking(), cfg)
-			sc := splitcSeries("Split-C write (store + MB + completion poll)",
-				[]int64{8, 32, 1 << 10, 16 << 10},
-				func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Write(g, 1) })
-			return []report.Table{
-				profileTable("Figure 5: blocking remote write (ns)", blk),
-				sc,
-			}
+			return tables(
+				func() report.Table {
+					return profileTable("Figure 5: blocking remote write (ns)", core.Sawtooth(newT3D, core.RemoteWriteBlocking(), cfg))
+				},
+				func() report.Table {
+					return splitcSeries("Split-C write (store + MB + completion poll)",
+						[]int64{8, 32, 1 << 10, 16 << 10},
+						func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Write(g, 1) })
+				},
+			)
 		},
 	})
 
@@ -100,14 +110,16 @@ func init() {
 		Paper: "pipelined stores sustain ≈115 ns (17 cy) beyond merge strides; write merging below 32 B; DRAM page sensitivity at 16 KB; Split-C put ≈300 ns (45 cy).",
 		Run: func(o Options) []report.Table {
 			cfg := remoteSweepCfg(o)
-			nb := core.Sawtooth(newT3D, core.RemoteWriteNonblocking(), cfg)
-			sc := splitcSeries("Split-C put (non-blocking, completion at sync)",
-				[]int64{8, 32, 1 << 10, 16 << 10},
-				func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Put(g, 1) })
-			return []report.Table{
-				profileTable("Figure 7: non-blocking remote write (ns)", nb),
-				sc,
-			}
+			return tables(
+				func() report.Table {
+					return profileTable("Figure 7: non-blocking remote write (ns)", core.Sawtooth(newT3D, core.RemoteWriteNonblocking(), cfg))
+				},
+				func() report.Table {
+					return splitcSeries("Split-C put (non-blocking, completion at sync)",
+						[]int64{8, 32, 1 << 10, 16 << 10},
+						func(c *splitc.Ctx, g splitc.GlobalPtr) { c.Put(g, 1) })
+				},
+			)
 		},
 	})
 
@@ -135,6 +147,7 @@ func runTab3(o Options) []report.Table {
 		}
 		annexCy = float64(p.Now()-start) / 64
 	})
+	m.Eng.Shutdown()
 	t.AddRow("annex update (cycles)", fmt.Sprintf("%.0f", annexCy), "23")
 
 	// Write-buffer synonym hazard.
@@ -152,6 +165,7 @@ func runTab3(o Options) []report.Table {
 		n.CPU.MB(p)
 		n.Shell.WaitWritesComplete(p)
 	})
+	m.Eng.Shutdown()
 	t.AddRow("synonym read past buffered write", boolWord(stale, "stale (hazard)", "fresh"), "stale (hazard)")
 
 	// Cache synonyms benign: direct mapping keeps one copy.
@@ -162,6 +176,7 @@ func runTab3(o Options) []report.Table {
 		cfg := splitc.DefaultConfig()
 		cfg.Annex = strategy
 		rt := splitc.NewRuntime(machine.New(machine.DefaultConfig(4)), cfg)
+		defer rt.M.Eng.Shutdown()
 		var avg float64
 		rt.RunOn(0, func(c *splitc.Ctx) {
 			for pe := 1; pe < 4; pe++ { // warm bindings

@@ -46,6 +46,7 @@ func runTab7(o Options) []report.Table {
 		}
 		sendCy = float64(p.Now()-start) / 32
 	})
+	m.Eng.Shutdown()
 	t.AddRow("message send", fmt.Sprintf("%.0f cy", sendCy), "122 cy (813 ns)")
 
 	// Receive interrupt (queue mode).
@@ -61,6 +62,7 @@ func runTab7(o Options) []report.Table {
 		sentAt = p.Now()
 	})
 	m.Eng.Run()
+	m.Eng.Shutdown()
 	t.AddRow("receive interrupt", us(float64(queuedAt-sentAt)), "25 µs")
 
 	m2 := newT3D()
@@ -70,6 +72,7 @@ func runTab7(o Options) []report.Table {
 		n.Shell.SendMessage(p, 1, [4]uint64{})
 		sAt = p.Now()
 	})
+	m2.Eng.Shutdown()
 	t.AddRow("interrupt + handler switch", us(float64(hAt-sAt)), "25 + 33 µs")
 
 	// Fetch&increment.
@@ -82,6 +85,7 @@ func runTab7(o Options) []report.Table {
 		}
 		fiCy = float64(p.Now()-start) / 64
 	})
+	m.Eng.Shutdown()
 	t.AddRow("fetch&increment", us(fiCy), "≈1 µs")
 
 	// AM deposit and dispatch over the shared-memory queue.
@@ -107,6 +111,7 @@ func runTab7(o Options) []report.Table {
 			dispatchCy = float64(c.P.Now()-start) / n
 		}
 	})
+	rt.M.Eng.Shutdown()
 	t.AddRow("AM deposit (4 words + control)", us(depositCy), "2.9 µs")
 	t.AddRow("AM dispatch + access", us(dispatchCy), "1.5 µs")
 
@@ -124,6 +129,7 @@ func runTab7(o Options) []report.Table {
 			barCy = float64(p.Now()-start) / 16
 		}
 	})
+	mb.Eng.Shutdown()
 	t.AddRow("hardware barrier (8 PEs)", fmt.Sprintf("%.0f cy", barCy), "fast (dedicated wire)")
 
 	return []report.Table{t}
@@ -134,6 +140,7 @@ func runHop(o Options) []report.Table {
 	cfg.Net.Shape = [3]int{8, 1, 1}
 	readAvg := func(target int) float64 {
 		m := machine.New(cfg)
+		defer m.Eng.Shutdown()
 		var total sim.Time
 		m.RunOn(0, func(p *sim.Proc, n *machine.Node) {
 			n.Shell.SetAnnex(p, 1, target, false)
@@ -149,9 +156,11 @@ func runHop(o Options) []report.Table {
 		Title:   "Uncached read latency vs distance (8x1x1 ring)",
 		Headers: []string{"hops", "read (cy)", "Δ per hop (cy, round trip)"},
 	}
+	hops := []int{1, 2, 3, 4}
+	cys := sim.Points(len(hops), func(i int) float64 { return readAvg(hops[i]) })
 	prev := 0.0
-	for _, h := range []int{1, 2, 3, 4} {
-		cy := readAvg(h)
+	for i, h := range hops {
+		cy := cys[i]
 		delta := ""
 		if prev != 0 {
 			delta = fmt.Sprintf("%.1f", (cy-prev)/2)
