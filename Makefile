@@ -95,9 +95,11 @@ serve-tenants:
 serve-resume:
 	./scripts/serve_resume.sh
 
-# bench runs the root benchmark suite (sim-heap throughput in events/sec
-# plus allocs/op for the sim heap, shell hot path, and net routing) and
-# files the parsed results as the next free BENCH_<n>.json snapshot via
-# cmd/benchjson. Committed snapshots are the serving-capacity baseline.
+# bench runs the repository benchmark (perfbench/run.sh, declared in
+# BENCHMARK.json) through cmd/benchjson: five untraced runs and one
+# traced run per workload, about 13 minutes in all. It files the median
+# and quartiles of every end-to-end metric, plus the traced run's
+# per-layer metrics, as the next free BENCH_<n>.json and compares that
+# with the newest earlier snapshot. Any failed check writes nothing.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson
+	$(GO) run ./cmd/benchjson

@@ -1,146 +1,290 @@
-// Command benchjson turns `go test -bench` output into the committed
-// BENCH_<n>.json artifact: one record per benchmark with ns/op, B/op,
-// allocs/op, and every custom metric (events/sec, simns/read, simMB/s,
-// ...) keyed by unit. It reads the benchmark stream on stdin and picks
-// the first free BENCH_<n>.json in the output directory, so successive
-// `make bench` runs file consecutive snapshots instead of overwriting
-// history:
+// Command benchjson runs the repository benchmark declared in
+// BENCHMARK.json and files the result as the next free BENCH_<n>.json.
+// Run it from the root of a checkout:
 //
-//	go test -bench=. -benchmem | go run ./cmd/benchjson
-//	go test -bench=. -benchmem | go run ./cmd/benchjson -o BENCH_override.json
+//	make bench
+//
+// Each workload runs five times untraced, giving the median and
+// quartiles of every end-to-end metric, then once traced, giving the
+// per-layer metrics. No snapshot is written if any run fails a check.
+// The new snapshot is then compared with the newest earlier one of the
+// same schema: an end-to-end metric has changed only when the two
+// quartile ranges do not overlap, and the per-layer event and
+// allocation counts must agree.
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark line, parsed.
-type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NSPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+const (
+	// schema marks the snapshots this tool writes. BENCH_1..3 carry
+	// none: they are single `go test -bench` runs of a harness that no
+	// longer exists.
+	schema = 2
+	runs   = 5 // untraced runs per workload
+	seed   = 1
+
+	// allocSlack is how far two *_allocs counts may differ and still
+	// agree. A probe reads the process-wide malloc count, so a runtime
+	// allocation landing inside its loop moves the per-operation figure
+	// by about 1e-4 between runs of one build.
+	allocSlack = 0.01
+)
+
+// spec is the part of BENCHMARK.json this tool reads. Units come with
+// each run's values.
+type spec struct {
+	Command    []string
+	RunSeconds int     `json:"run_seconds"`
+	Workloads  []named `json:"workloads"`
+	EndToEnd   []named `json:"end_to_end"`
+	PerLayer   []named `json:"per_layer"`
 }
 
-// File is the whole artifact.
-type File struct {
-	GoVersion string   `json:"go_version"`
-	GOARCH    string   `json:"goarch"`
-	Package   string   `json:"package,omitempty"`
-	CPU       string   `json:"cpu,omitempty"`
-	Results   []Result `json:"results"`
+type named struct{ Name string }
+
+// result is the JSON line a benchmark run ends with.
+type result struct {
+	Correct   bool             `json:"correct"`
+	Attempted int              `json:"attempted"`
+	Failed    int              `json:"failed"`
+	Metrics   map[string]value `json:"metrics"`
+}
+
+type value struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// spread is one end-to-end metric over a workload's untraced runs.
+type spread struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	N      int     `json:"n"`
+	Unit   string  `json:"unit"`
+}
+
+type workload struct {
+	Name      string            `json:"name"`
+	Attempted int               `json:"attempted"` // checks, summed over all runs
+	Failed    int               `json:"failed"`
+	EndToEnd  map[string]spread `json:"end_to_end"`
+	PerLayer  map[string]value  `json:"per_layer"` // from the traced run
+}
+
+type snapshot struct {
+	Schema     int        `json:"schema"`
+	GoVersion  string     `json:"go_version"`
+	CPUs       int        `json:"cpus"`
+	Seed       int        `json:"seed"`
+	RunSeconds int        `json:"run_seconds"`
+	Workloads  []workload `json:"workloads"`
 }
 
 func main() {
-	out := flag.String("o", "", "output path (default: first free BENCH_<n>.json in -dir)")
-	dir := flag.String("dir", ".", "directory for auto-numbered output")
-	flag.Parse()
+	if err := mainErr(); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
 
-	f := File{GoVersion: runtime.Version(), GOARCH: runtime.GOARCH}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<22)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // pass the stream through so the run stays visible
-		switch {
-		case strings.HasPrefix(line, "pkg: "):
-			f.Package = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			f.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				f.Results = append(f.Results, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fatalf("read stdin: %v", err)
-	}
-	if len(f.Results) == 0 {
-		fatalf("no benchmark lines on stdin (pipe `go test -bench` output in)")
-	}
-
-	path := *out
-	if path == "" {
-		path = nextFree(*dir)
-	}
-	b, err := json.MarshalIndent(f, "", "  ")
+func mainErr() error {
+	data, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
-		fatalf("marshal: %v", err)
+		return fmt.Errorf("run from the repository root: %w", err)
 	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		fatalf("write %s: %v", path, err)
+	var sp spec
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return fmt.Errorf("parse BENCHMARK.json: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(f.Results), path)
-}
-
-// parseLine parses one benchmark result line:
-//
-//	BenchmarkName-8   100   12345 ns/op   67 B/op   8 allocs/op   9.1 simns/read
-func parseLine(line string) (Result, bool) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return Result{}, false
+	if len(sp.Command) == 0 {
+		return fmt.Errorf("BENCHMARK.json names no command")
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the -GOMAXPROCS suffix, keeping sub-benchmark slashes.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
-	r := Result{Name: name}
-	if iters, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
-		r.Iterations = iters
-	} else {
-		return Result{}, false // not a result line after all
-	}
-	for i := 2; i+1 < len(fields); i += 2 {
-		var val float64
-		if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
-			val = v
-		} else {
-			return Result{}, false // malformed value column
-		}
-		switch unit := fields[i+1]; unit {
-		case "ns/op":
-			r.NSPerOp = val
-		case "B/op":
-			r.BytesPerOp = int64(val)
-		case "allocs/op":
-			r.AllocsPerOp = int64(val)
-		default:
-			if r.Metrics == nil {
-				r.Metrics = map[string]float64{}
+	snap := snapshot{Schema: schema, GoVersion: runtime.Version(), CPUs: runtime.NumCPU(),
+		Seed: seed, RunSeconds: sp.RunSeconds}
+	for _, w := range sp.Workloads {
+		var rs []result
+		for i := range runs + 1 {
+			r, err := runOnce(sp, w.Name, i/runs) // only the last run is traced
+			if err != nil {
+				return err
 			}
-			r.Metrics[unit] = val
+			rs = append(rs, r)
+		}
+		ws, err := summarize(sp, w.Name, rs[:runs], rs[runs])
+		if err != nil {
+			return err
+		}
+		snap.Workloads = append(snap.Workloads, ws)
+	}
+
+	n := 1
+	for ; ; n++ {
+		_, err := os.Stat(benchPath(".", n))
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return r, true
+	out, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(benchPath(".", n), append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("benchjson: wrote %s\n", benchPath(".", n))
+
+	old, path, skipped, err := previous(".", n)
+	for _, p := range skipped {
+		fmt.Printf("benchjson: %s is not comparable: a single go test -bench run\n", p)
+	}
+	if err != nil || path == "" {
+		return err
+	}
+	diffs := compare(old, snap)
+	fmt.Printf("benchjson: against %s: %d changed\n", path, len(diffs))
+	for _, d := range diffs {
+		fmt.Println("  " + d)
+	}
+	return nil
 }
 
-// nextFree returns dir/BENCH_<n>.json for the smallest n >= 1 with no
-// existing file.
-func nextFree(dir string) string {
-	for n := 1; ; n++ {
-		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return path
+// runOnce runs the benchmark command for one workload, echoing its
+// report, and decodes the result on the report's last line.
+func runOnce(sp spec, name string, trace int) (result, error) {
+	args := append(sp.Command[1:len(sp.Command):len(sp.Command)],
+		"--workload", name, "--seed", strconv.Itoa(seed),
+		"--seconds", strconv.Itoa(sp.RunSeconds), "--trace", strconv.Itoa(trace))
+	var out bytes.Buffer
+	cmd := exec.Command(sp.Command[0], args...)
+	cmd.Stdout, cmd.Stderr = io.MultiWriter(os.Stdout, &out), os.Stderr
+	var r result
+	if err := cmd.Run(); err != nil {
+		return r, fmt.Errorf("%s --trace %d: %w", name, trace, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
+	if err := json.Unmarshal(lines[len(lines)-1], &r); err != nil {
+		return r, fmt.Errorf("%s --trace %d: parse result line: %w", name, trace, err)
+	}
+	return r, nil
+}
+
+// summarize reduces one workload's runs to its snapshot entry. It
+// refuses a workload if any run failed a check or left out a metric
+// BENCHMARK.json lists.
+func summarize(sp spec, name string, untraced []result, traced result) (workload, error) {
+	w := workload{Name: name, EndToEnd: map[string]spread{}, PerLayer: map[string]value{}}
+	for i, r := range append(untraced[:len(untraced):len(untraced)], traced) {
+		if !r.Correct || r.Failed > 0 {
+			return w, fmt.Errorf("%s run %d: %d of %d checks failed; no snapshot written", name, i+1, r.Failed, r.Attempted)
+		}
+		w.Attempted += r.Attempted
+	}
+	for _, m := range sp.EndToEnd {
+		var xs []float64
+		for _, r := range untraced {
+			v, ok := r.Metrics[m.Name]
+			if !ok {
+				return w, fmt.Errorf("%s: an untraced run did not report %s", name, m.Name)
+			}
+			xs = append(xs, v.Value)
+		}
+		sort.Float64s(xs)
+		w.EndToEnd[m.Name] = spread{quantile(xs, 0.5), quantile(xs, 0.25), quantile(xs, 0.75), len(xs),
+			untraced[0].Metrics[m.Name].Unit}
+	}
+	for _, m := range sp.PerLayer {
+		v, ok := traced.Metrics[m.Name]
+		if !ok {
+			return w, fmt.Errorf("%s: the traced run did not report %s", name, m.Name)
+		}
+		w.PerLayer[m.Name] = v
+	}
+	return w, nil
+}
+
+// quantile returns the q-quantile of the sorted xs, interpolating
+// linearly between closest ranks.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(xs) {
+		return xs[lo]
+	}
+	return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
+}
+
+// compare lists, sorted, what differs from old to cur: end-to-end
+// metrics whose quartile ranges do not overlap, and per-layer *_events
+// counts that are not identical or *_allocs counts further apart than
+// allocSlack.
+func compare(old, cur snapshot) []string {
+	olds := map[string]workload{}
+	for _, w := range old.Workloads {
+		olds[w.Name] = w
+	}
+	var diffs []string
+	for _, cw := range cur.Workloads {
+		ow := olds[cw.Name] // a workload new since old compares against zeros
+		for name, c := range cw.EndToEnd {
+			if o := ow.EndToEnd[name]; c.Q3 < o.Q1 || c.Q1 > o.Q3 {
+				diffs = append(diffs, fmt.Sprintf("%s %s: %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] %s",
+					cw.Name, name, o.Median, o.Q1, o.Q3, c.Median, c.Q1, c.Q3, c.Unit))
+			}
+		}
+		for name, c := range cw.PerLayer {
+			o := ow.PerLayer[name]
+			if strings.HasSuffix(name, "_events") && c.Value != o.Value ||
+				strings.HasSuffix(name, "_allocs") && math.Abs(c.Value-o.Value) > allocSlack {
+				diffs = append(diffs, fmt.Sprintf("%s %s: %g -> %g", cw.Name, name, o.Value, c.Value))
+			}
 		}
 	}
+	sort.Strings(diffs)
+	return diffs
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
-	os.Exit(1)
+// previous returns the newest snapshot in dir numbered below n that
+// was written in this schema, with its path ("" if there is none), and
+// the paths of the older-schema snapshots passed over on the way.
+func previous(dir string, n int) (snapshot, string, []string, error) {
+	var skipped []string
+	for k := n - 1; k >= 1; k-- {
+		path := benchPath(dir, k)
+		var s snapshot
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &s)
+		}
+		if err != nil {
+			return s, "", skipped, fmt.Errorf("read %s: %w", path, err)
+		}
+		if s.Schema == schema {
+			return s, path, skipped, nil
+		}
+		skipped = append(skipped, path)
+	}
+	return snapshot{}, "", skipped, nil
+}
+
+func benchPath(dir string, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
 }

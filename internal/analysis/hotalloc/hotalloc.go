@@ -1,9 +1,9 @@
 // Package hotalloc keeps the measured hot paths allocation-free.
 //
-// The bench suite (bench_test.go) pins allocs/op on four paths — the
-// event-heap push/pop kernel, the shell remote-load data path, torus
-// route lookup, and AM dispatch — and the ROADMAP item-1 target (10×
-// events/sec) dies by a thousand heap cuts: one escaping composite per
+// The repository benchmark's layer probes (perfbench) time four paths —
+// the event-heap push/pop kernel, the shell remote-load data path, torus
+// route lookup, and AM dispatch — and count allocs/op on three of them.
+// Events/sec dies by a thousand heap cuts: one escaping composite per
 // event, one interface box per trace call, one closure per wait. A
 // function on such a path carries a //t3d:hotpath annotation in its doc
 // comment, and this pass enforces the contract the annotation declares:

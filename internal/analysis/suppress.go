@@ -75,14 +75,6 @@ func CollectAllows(fset *token.FileSet, pkg *Package, knownPasses map[string]boo
 	return allows, bad
 }
 
-// ApplySuppressions filters diags against allows: a diagnostic is
-// suppressed when an allow for its pass sits on the same line or on the
-// line directly above. It returns the surviving diagnostics plus one
-// "suppress" diagnostic per allow that matched nothing.
-func ApplySuppressions(diags []Diagnostic, allows []*Allow) []Diagnostic {
-	return Active(MarkSuppressions(diags, allows))
-}
-
 // MarkSuppressions matches diags against allows without dropping
 // anything: waived findings come back with Suppressed set and the
 // allow's reason attached, so the full set remains available as an

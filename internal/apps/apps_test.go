@@ -133,32 +133,3 @@ func TestMatMulSizeChecked(t *testing.T) {
 	}
 	MatMul(newRT(2), a)
 }
-
-func TestRadixSortValidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	keys := randKeys(rng, 4, 32, 1<<16)
-	res := RadixSort(newRT(4), keys, 4, 16)
-	if !res.Validated {
-		t.Fatal("radix sort output wrong")
-	}
-	if res.Passes != 4 {
-		t.Errorf("passes = %d", res.Passes)
-	}
-}
-
-func TestRadixSortUneven(t *testing.T) {
-	keys := [][]uint64{{9, 1, 8}, {}, {5, 5, 5, 2, 0, 15}, {7}}
-	res := RadixSort(newRT(4), keys, 2, 4)
-	if !res.Validated {
-		t.Fatal("uneven radix sort failed")
-	}
-}
-
-func TestRadixSortTwoPEs(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	keys := randKeys(rng, 2, 20, 1<<8)
-	res := RadixSort(newRT(2), keys, 4, 8)
-	if !res.Validated {
-		t.Fatal("2-PE radix sort failed")
-	}
-}

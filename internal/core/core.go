@@ -41,9 +41,6 @@ type Profile struct {
 	Curves []Curve
 }
 
-// AvgCycles converts a point's latency to cycles.
-func (p Point) AvgCycles() float64 { return p.AvgNS / cpu.NSPerCycle }
-
 // At returns the measured latency for an exact (size, stride), or false.
 func (pr *Profile) At(size, stride int64) (float64, bool) {
 	for _, c := range pr.Curves {

@@ -403,27 +403,3 @@ func (n *Network) LinkBacklog(node, dir int) sim.Time {
 // LinkBusy returns the accumulated occupancy of the link leaving node in
 // direction dir (0..5: +x,-x,+y,-y,+z,-z).
 func (n *Network) LinkBusy(node, dir int) sim.Time { return n.busy[node][dir] }
-
-// HottestLink reports the most-occupied link and its accumulated busy
-// time — the congestion diagnostic for the contention extensions.
-func (n *Network) HottestLink() (node, dir int, busy sim.Time) {
-	for nd := range n.busy {
-		for d := 0; d < numDirs; d++ {
-			if n.busy[nd][d] > busy {
-				node, dir, busy = nd, d, n.busy[nd][d]
-			}
-		}
-	}
-	return node, dir, busy
-}
-
-// TotalLinkBusy sums occupancy over all links (aggregate traffic·time).
-func (n *Network) TotalLinkBusy() sim.Time {
-	var total sim.Time
-	for nd := range n.busy {
-		for d := 0; d < numDirs; d++ {
-			total += n.busy[nd][d]
-		}
-	}
-	return total
-}

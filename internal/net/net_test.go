@@ -216,13 +216,6 @@ func TestLinkBusyAccounting(t *testing.T) {
 	if got := n.LinkBusy(0, 0) + n.LinkBusy(0, 1); got != 2*occ {
 		t.Errorf("link busy = %d, want %d", got, 2*occ)
 	}
-	node, _, busy := n.HottestLink()
-	if node != 0 || busy != 2*occ {
-		t.Errorf("hottest link = node %d busy %d", node, busy)
-	}
-	if n.TotalLinkBusy() != 2*occ {
-		t.Errorf("total busy = %d", n.TotalLinkBusy())
-	}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -133,6 +133,52 @@ func TestHTTPWatchStream(t *testing.T) {
 	}
 }
 
+// finishOnWrite is a ResponseWriter that finishes job the moment the
+// first snapshot is written: the worker's finish landing between the
+// watch loop building a snapshot and deciding whether to stop.
+type finishOnWrite struct {
+	*httptest.ResponseRecorder
+	job      *Job
+	finished bool
+}
+
+func (w *finishOnWrite) Write(b []byte) (int, error) {
+	if !w.finished {
+		w.finished = true
+		w.job.Result = JobResult{App: "em3d", Digest: "d", Validated: true}
+		w.job.state.Store(int32(StateDone))
+		close(w.job.done)
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestHTTPWatchStreamFinishRace: a job that finishes right after a
+// running snapshot was sent still gets its terminal snapshot before
+// the stream ends.
+func TestHTTPWatchStreamFinishRace(t *testing.T) {
+	s := newTestServer(t, Config{})
+	defer s.Drain(5 * time.Second)
+	job := &Job{ID: "race", done: make(chan struct{})}
+	job.state.Store(int32(StateRunning))
+	s.mu.Lock()
+	s.jobs[job.ID] = job
+	s.mu.Unlock()
+
+	w := &finishOnWrite{ResponseRecorder: httptest.NewRecorder(), job: job}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/race?watch=1", nil))
+	var states []string
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		var snap JobStatus
+		if err := json.Unmarshal([]byte(line), &snap); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		}
+		states = append(states, snap.State)
+	}
+	if fmt.Sprint(states) != "[running done]" {
+		t.Fatalf("stream states %v, want [running done]", states)
+	}
+}
+
 // TestHTTPErrors: the error surface — 400 on garbage, 404 on unknown
 // IDs, 503 with Retry-After while draining.
 func TestHTTPErrors(t *testing.T) {

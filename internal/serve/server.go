@@ -593,19 +593,22 @@ type JobStatus struct {
 	Class    string     `json:"class,omitempty"`
 }
 
-func statusOf(j *Job) JobStatus {
+// statusOf snapshots j from one read of its state and reports whether
+// that state is terminal, so the snapshot and the verdict always agree.
+func statusOf(j *Job) (JobStatus, bool) {
+	state := j.State()
 	st := JobStatus{
 		ID: j.ID, Key: fmt.Sprintf("%016x", j.Key), Tenant: j.Tenant,
-		State: j.State().String(), Progress: j.Progress.Read(),
+		State: state.String(), Progress: j.Progress.Read(),
 	}
-	switch j.State() {
+	switch state {
 	case StateDone:
 		r := j.Result
 		st.Result = &r
 	case StateFailed:
 		st.Error, st.Class = j.Err, j.Class
 	}
-	return st
+	return st, state == StateDone || state == StateFailed
 }
 
 // Handler returns the service's HTTP mux.
@@ -690,11 +693,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
+	st, terminal := statusOf(job)
 	code := http.StatusAccepted
-	if j := job.State(); j == StateDone || j == StateFailed {
+	if terminal {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, statusOf(job))
+	writeJSON(w, code, st)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -704,11 +708,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("watch") == "" {
-		writeJSON(w, http.StatusOK, statusOf(job))
+		st, _ := statusOf(job)
+		writeJSON(w, http.StatusOK, st)
 		return
 	}
 	// Watch mode: stream NDJSON status snapshots — cycle-accurate
-	// partial progress — until the job is terminal.
+	// partial progress — until a terminal snapshot has been sent.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -717,7 +722,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	var last JobStatus
 	for {
-		st := statusOf(job)
+		st, terminal := statusOf(job)
 		if st != last {
 			if enc.Encode(st) != nil {
 				return // client went away
@@ -727,7 +732,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			}
 			last = st
 		}
-		if job.State() == StateDone || job.State() == StateFailed {
+		if terminal {
 			return
 		}
 		select {

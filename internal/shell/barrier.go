@@ -70,10 +70,6 @@ func (b *Barrier) Wait(p *sim.Proc, t BarrierTicket) {
 // that must keep servicing message queues while a barrier collects.
 func (b *Barrier) Done(t BarrierTicket) bool { return b.gen > t.gen }
 
-// HighSignal exposes the wire-high signal so pollers can sleep between
-// samples instead of spinning.
-func (b *Barrier) HighSignal() *sim.Signal { return b.highSig }
-
 // Reset clears partially collected arm bits after a rollback unwinds
 // procs that had armed the current generation but will arm again on
 // replay. Generations that already completed (wire scheduled or high)

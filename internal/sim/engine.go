@@ -334,6 +334,6 @@ func (e *Engine) RunErr() (Time, error) {
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
 // Events reports how many events the engine has processed across all
-// runs: the host-side unit of simulation work (events per wall second
-// is the serving-capacity metric in BENCH_*.json).
+// runs: the host-side unit of simulation work (perfbench's
+// sim.ns_per_event is host time per event).
 func (e *Engine) Events() int64 { return e.processed }

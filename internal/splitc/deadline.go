@@ -66,15 +66,6 @@ func (c *Ctx) ReadWithin(g GlobalPtr, budget sim.Time) (uint64, error) {
 	return v, err
 }
 
-// WriteWithin is a blocking remote write bounded by a cycle budget: the
-// deadline-bounded form of Write. On ErrDeadline the write may or may
-// not have reached the remote memory — only its acknowledgement is
-// known to be outstanding — and the shell keeps covering it until a
-// later Sync completes.
-func (c *Ctx) WriteWithin(g GlobalPtr, v uint64, budget sim.Time) error {
-	return c.WithDeadline(budget, func() { c.Write(g, v) })
-}
-
 // SyncWithin bounds Sync to a cycle budget: the caller learns whether
 // all outstanding split-phase traffic settled in time, and on
 // ErrDeadline may keep computing and retry the Sync later.

@@ -143,6 +143,49 @@ func TestGetPipelinesBetterThanRead(t *testing.T) {
 	}
 }
 
+// TestAblationOrderings pins the DESIGN.md §4 ablations no experiment
+// table shows: the mechanism the runtime uses must cost PE 0 fewer
+// cycles per operation than the alternative it rejects.
+func TestAblationOrderings(t *testing.T) {
+	const n = 128
+	// perOp runs op n times from PE 0 against PE 1's heap, then settle on
+	// every PE, and returns PE 0's cycles per operation.
+	perOp := func(op func(c *Ctx, g GlobalPtr), settle func(c *Ctx)) float64 {
+		rt := newRT(2)
+		var cy float64
+		rt.Run(func(c *Ctx) {
+			start := c.P.Now()
+			for i := range int64(n) {
+				if c.MyPE() == 0 {
+					op(c, Global(1, rt.Cfg.HeapBase+i*8))
+				}
+			}
+			settle(c)
+			if c.MyPE() == 0 {
+				cy = float64(c.P.Now()-start) / n
+			}
+		})
+		return cy
+	}
+	none := func(*Ctx) {}
+	for _, tc := range []struct {
+		name          string
+		chosen, other float64
+	}{
+		{"§4.4 uncached read vs cached read plus flush",
+			perOp(func(c *Ctx, g GlobalPtr) { c.Read(g) }, none),
+			perOp(func(c *Ctx, g GlobalPtr) { c.ReadCached(g) }, none)},
+		{"§7.2 signaling stores vs blocking writes",
+			perOp(func(c *Ctx, g GlobalPtr) { c.Store(g, 1) }, (*Ctx).AllStoreSync),
+			perOp(func(c *Ctx, g GlobalPtr) { c.Write(g, 1) }, none)},
+	} {
+		t.Logf("%s: %.1f vs %.1f cycles", tc.name, tc.chosen, tc.other)
+		if tc.chosen >= tc.other {
+			t.Errorf("%s: %.1f cycles per op, not below %.1f", tc.name, tc.chosen, tc.other)
+		}
+	}
+}
+
 func TestPutSyncCompletes(t *testing.T) {
 	rt := newRT(2)
 	rt.RunOn(0, func(c *Ctx) {
