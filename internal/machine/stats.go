@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"reflect"
 )
 
 // Stats aggregates the machine's hardware event counters: what the
@@ -58,4 +61,33 @@ func (s Stats) Render(w io.Writer) {
 		s.RemoteReads, s.RemoteWrites, s.Prefetches, s.AnnexUpdates)
 	fmt.Fprintf(w, "  network: %d packets, %d payload bytes\n", s.NetPackets, s.NetPayload)
 	fmt.Fprintf(w, "  barrier crossings: %d\n", s.BarrierCrossings)
+}
+
+// StateDigest hashes the machine's simulated state: the engine's time
+// and processed-event count, every Stats counter, the network's loss
+// and marking counters, and the contents of every PE's DRAM. Two runs
+// that executed the same events in the same order produce the same
+// digest; an event-order change shows here even when a rendered table
+// would hide it.
+func (m *T3D) StateDigest() uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	put(m.Eng.Now())
+	put(m.Eng.Events())
+	st := reflect.ValueOf(m.Stats())
+	for i := 0; i < st.NumField(); i++ {
+		put(st.Field(i).Int())
+	}
+	put(m.Net.Dropped)
+	put(m.Net.Corrupted)
+	put(m.Net.HardDropped)
+	put(m.Net.MarkedPackets)
+	for _, n := range m.Nodes {
+		put(int64(n.DRAM.Hash()))
+	}
+	return h.Sum64()
 }

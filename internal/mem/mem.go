@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/sim"
 )
@@ -177,6 +178,24 @@ func (d *DRAM) Restore(img []byte) {
 		copy(d.pageAt(int64(i) << pageShift)[:], chunk)
 	}
 	d.clearAllFaults()
+}
+
+// Hash returns an FNV-1a hash of the memory contents: the index and
+// bytes of every non-zero page, in address order. It depends only on
+// what memory holds, not on which pages happen to be allocated.
+func (d *DRAM) Hash() uint64 {
+	h := fnv.New64a()
+	var zero [pageSize]byte
+	var idx [8]byte
+	for i, pg := range d.pages {
+		if pg == nil || *pg == zero {
+			continue
+		}
+		binary.LittleEndian.PutUint64(idx[:], uint64(i))
+		h.Write(idx[:])
+		h.Write(pg[:])
+	}
+	return h.Sum64()
 }
 
 // Zero clears all memory by releasing every page — the fail-stop model
