@@ -415,7 +415,6 @@ func (ep *Endpoint) Send(dst, id int, args [4]uint64) {
 		ep.sentTo[dst]++
 	}
 	ep.Sent++
-	//lint:allow hotalloc fetch&increment issues its per-operation request/response event chain; the chain closures are the transaction
 	ticket := c.FetchIncOn(dst, 0)
 	slot := int64(ticket%uint64(ep.cfg.QueueSlots)) * slotBytes
 	c.Compute(ep.cfg.DepositPad)

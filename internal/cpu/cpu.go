@@ -378,9 +378,9 @@ func (c *CPU) Drain(p *sim.Proc, e *wbuf.Entry) {
 	off := addr.Offset(e.LineAddr)
 	complete, _ := c.DRAM.WriteAccess(p.Now(), off)
 	p.WaitUntil(complete)
-	e.Bytes(func(a int64, v byte) {
-		c.DRAM.Write(addr.Offset(a), []byte{v})
-	})
+	for lo, hi := wbuf.NextRun(e.Mask, 0); lo < wbuf.LineSize; lo, hi = wbuf.NextRun(e.Mask, hi) {
+		c.DRAM.Write(off+int64(lo), e.Data[lo:hi])
+	}
 }
 
 func word(b []byte) uint64 {

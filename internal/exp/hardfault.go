@@ -81,7 +81,7 @@ func deadLinkTable(cfg em3d.Config) report.Table {
 		if err != nil {
 			panic(fmt.Sprintf("exp: run with %d dead links failed: %v", k, err))
 		}
-		pkts, extra := m.Net.RerouteStats()
+		pkts, extra := m.Net.ReroutedPackets, m.Net.ExtraHops
 		return []string{
 			fmt.Sprintf("%d", m.Net.DeadLinks()),
 			fmt.Sprintf("%d", res.Cycles),

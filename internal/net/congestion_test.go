@@ -17,7 +17,7 @@ func TestCongestionMarking(t *testing.T) {
 
 	var marks, total int
 	send := func() {
-		n.SendDataEx(0, 1, 32, func(f Fault, marked bool) {
+		n.Send(0, 1, 32, Data, Notify(func(f Fault, marked bool) {
 			total++
 			if marked {
 				marks++
@@ -25,7 +25,7 @@ func TestCongestionMarking(t *testing.T) {
 			if f != FaultNone {
 				t.Errorf("unfaulted packet delivered %v", f)
 			}
-		})
+		}))
 	}
 	send() // lone packet: no queueing, never marked
 	eng.Run()
@@ -56,12 +56,12 @@ func TestMarkingDisabledAndControlPackets(t *testing.T) {
 	cfg.MarkThreshold = 0
 	n := New(eng, cfg)
 	for i := 0; i < 50; i++ {
-		n.SendDataEx(0, 1, 64, func(f Fault, marked bool) {
+		n.Send(0, 1, 64, Data, Notify(func(f Fault, marked bool) {
 			if marked {
 				t.Error("marking disabled but packet arrived marked")
 			}
-		})
-		n.Send(0, 1, 64, func() {})
+		}))
+		n.Send(0, 1, 64, Control, Notify(func(Fault, bool) {}))
 	}
 	eng.Run()
 	if n.MarkedPackets != 0 {
@@ -78,7 +78,7 @@ func TestLinkBacklog(t *testing.T) {
 		t.Fatalf("idle link backlog = %d", b)
 	}
 	for i := 0; i < 10; i++ {
-		n.SendData(0, 1, 64, func(Fault) {})
+		n.Send(0, 1, 64, Data, Notify(func(Fault, bool) {}))
 	}
 	// Before the engine runs, all ten packets' occupancy is committed on
 	// the +x link out of node 0 (dimension-order route 0 -> 1).

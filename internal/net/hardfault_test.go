@@ -37,7 +37,7 @@ func checkRoute(t *testing.T, n *Network, src, dst int, route [][2]int) {
 		if hop[0] != at {
 			t.Fatalf("route %d->%d hop %d leaves node %d, but packet is at %d", src, dst, i, hop[0], at)
 		}
-		if n.LinkDead(hop[0], hop[1]) {
+		if n.dead[hop[0]][hop[1]] {
 			t.Fatalf("route %d->%d hop %d crosses dead link (%d,%d)", src, dst, i, hop[0], hop[1])
 		}
 		at = nextNode(n, hop[0], hop[1])
@@ -96,8 +96,8 @@ func TestFailLinkIdempotent(t *testing.T) {
 	if n.DeadLinks() != 1 {
 		t.Errorf("DeadLinks = %d after double-failing one link, want 1", n.DeadLinks())
 	}
-	if !n.LinkDead(0, 0) {
-		t.Error("LinkDead(0,0) = false after FailLink")
+	if !n.dead[0][0] {
+		t.Error("link (0,0) alive after FailLink")
 	}
 }
 

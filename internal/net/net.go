@@ -8,8 +8,8 @@
 // a fixed latency per hop and occupies each traversed link for a
 // header + payload duration, so both effects emerge.
 //
-// The network is payload-agnostic: callers provide a delivery callback
-// and the network invokes it at the arrival time. All shell semantics
+// The network is payload-agnostic: callers name a receiver, an opcode and
+// a tag, and the network delivers them at the arrival time. All shell semantics
 // (what a remote read does at the far end) live in package shell.
 package net
 
@@ -80,18 +80,8 @@ func (c Config) Validate(nodes int) error {
 	return nil
 }
 
-// ShapeFor factors n into three near-equal power-of-two-friendly
-// dimensions. n must be positive; use ShapeForErr to get the failure as
-// an error instead of a panic.
-func ShapeFor(n int) [3]int {
-	s, err := ShapeForErr(n)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// ShapeForErr is ShapeFor with error reporting for non-positive counts.
+// ShapeForErr factors n into three near-equal power-of-two-friendly
+// dimensions, rejecting a non-positive count with an error.
 func ShapeForErr(n int) ([3]int, error) {
 	if n <= 0 {
 		return [3]int{}, fmt.Errorf("net: node count must be positive, got %d", n)
@@ -171,15 +161,14 @@ type Network struct {
 	busy  [][numDirs]sim.Time // accumulated occupancy per link
 	hook  FaultHook
 
-	// Degraded-mode routing state (route.go): permanently dead links,
-	// the per-(src,dst) route cache, and in-flight data packets that a
-	// dying link can retroactively claim.
+	// Degraded-mode routing state (route.go): permanently dead links
+	// and the per-(src,dst) route cache.
 	dead       [][numDirs]bool
 	deadLinks  int
 	routeCache [][][2]int
 	routeState []uint8
-	flights    map[int64]*flight
-	flightSeq  int64
+
+	flights sim.Slots[flight] // in-flight packets, named by their arrival events
 
 	// Stats.
 	Packets, PayloadBytes int64
@@ -220,7 +209,6 @@ func NewChecked(eng *sim.Engine, cfg Config) (*Network, error) {
 		dead:       make([][numDirs]bool, n),
 		routeCache: make([][][2]int, n*n),
 		routeState: make([]uint8, n*n),
-		flights:    make(map[int64]*flight),
 	}, nil
 }
 
@@ -282,33 +270,50 @@ func (n *Network) occupancy(payloadBytes int) sim.Time {
 	return n.cfg.HeaderOcc + flits*n.cfg.FlitOcc
 }
 
-// Send injects a control packet at src at the current time and invokes
-// deliver at the moment its tail arrives at dst. The head advances
-// HopLatency per hop; each traversed link is occupied for the packet's
-// full length, so concurrent streams through a link serialize. Control
-// packets are never faulted.
-func (n *Network) Send(src, dst, payloadBytes int, deliver func()) {
-	n.send(src, dst, payloadBytes, false, func(Fault, bool) { deliver() })
+// Class says whether a packet carries data the fault hook may damage.
+type Class uint8
+
+const (
+	// Control packets (read requests, responses, acknowledgements) are
+	// never faulted.
+	Control Class = iota
+	// Data packets consult the fault hook, can be claimed by a dying
+	// link, and carry the congestion mark.
+	Data
+)
+
+// Receiver hears a packet arrive: op and tag are the sender's, f is the
+// payload verdict (always FaultNone for a control packet) and marked the
+// congestion-experienced mark.
+type Receiver interface {
+	Arrive(op uint32, tag uint64, f Fault, marked bool)
 }
 
-// SendData injects a data-carrying packet: identical timing to Send, but
-// the fault hook (if any) may damage the payload in flight, and deliver
-// receives the verdict. The packet envelope always arrives — transient
-// faults hit the data path, not the hardware flow control — so callers
-// must decide what a dropped or corrupted payload means at the far end.
-func (n *Network) SendData(src, dst, payloadBytes int, deliver func(f Fault)) {
-	n.send(src, dst, payloadBytes, true, func(f Fault, _ bool) { deliver(f) })
+// Delivery names who hears a packet's arrival: a long-lived receiver
+// with an opcode and a tag, typically the index of the sender's
+// transaction slot.
+type Delivery struct {
+	To  Receiver
+	Op  uint32
+	Tag uint64
 }
 
-// SendDataEx is SendData with the congestion verdict: deliver also
-// receives whether the packet queued past MarkThreshold at a hot link —
-// the ECN-style congestion-experienced mark the overload-protection
-// layer feeds back to senders.
-func (n *Network) SendDataEx(src, dst, payloadBytes int, deliver func(f Fault, marked bool)) {
-	n.send(src, dst, payloadBytes, true, deliver)
-}
+// Notify is the closure form of a Delivery, for cold paths and tests.
+func Notify(fn func(f Fault, marked bool)) Delivery { return Delivery{To: notifyFunc(fn)} }
 
-func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(f Fault, marked bool)) {
+type notifyFunc func(f Fault, marked bool)
+
+func (fn notifyFunc) Arrive(_ uint32, _ uint64, f Fault, marked bool) { fn(f, marked) }
+
+// Send injects a packet at src at the current time; d hears it at the
+// moment its tail arrives at dst. The head advances HopLatency per hop;
+// each traversed link is occupied for the packet's full length, so
+// concurrent streams through a link serialize. A Data packet's payload
+// may be damaged in flight (the fault hook) and its verdict and
+// congestion mark reach d; the envelope always arrives, because
+// transient faults hit the data path, not the hardware flow control.
+func (n *Network) Send(src, dst, payloadBytes int, class Class, d Delivery) {
+	faultable := class == Data
 	n.Packets++
 	n.PayloadBytes += int64(payloadBytes)
 	occ := n.occupancy(payloadBytes)
@@ -323,7 +328,7 @@ func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(
 		n.Unroutable++
 		if faultable {
 			n.Dropped++
-			n.eng.At(t+1, func() { deliver(FaultDrop, false) })
+			n.eng.AtCall(t+1, n, 0, n.fly(flight{d: d, fault: FaultDrop}))
 		}
 		return
 	}
@@ -355,38 +360,49 @@ func (n *Network) send(src, dst, payloadBytes int, faultable bool, deliver func(
 	if marked {
 		n.MarkedPackets++
 	}
-	fault := FaultNone
-	if faultable && n.hook != nil {
-		fault = n.hook.PacketFault(src, dst, payloadBytes, route, hopTimes)
-		switch fault {
-		case FaultDrop:
-			n.Dropped++
-		case FaultCorrupt:
-			n.Corrupted++
-		}
-	}
-	// Data packets stay registered while in flight so a link dying under
-	// them can claim them retroactively (FailLink).
-	var flightID int64
+	fl := flight{d: d, marked: marked}
 	if faultable {
-		flightID = n.trackFlight(route)
+		// Data packets keep their route while in flight so a link dying
+		// under them can claim them retroactively (FailLink).
+		fl.route = route
+		if n.hook != nil {
+			fl.fault = n.hook.PacketFault(src, dst, payloadBytes, route, hopTimes)
+			switch fl.fault {
+			case FaultDrop:
+				n.Dropped++
+			case FaultCorrupt:
+				n.Corrupted++
+			}
+		}
 	}
 	// Tail arrives one packet-length after the head on the final hop.
 	arrival := t + occ
 	if len(route) == 0 {
 		arrival = t + 1 // self-send: loopback in the shell
 	}
-	n.eng.At(arrival, func() {
-		f := fault
-		if flightID != 0 {
-			if fl := n.flights[flightID]; fl != nil && fl.forced && f != FaultDrop {
-				f = FaultDrop
-				n.Dropped++
-			}
-			delete(n.flights, flightID)
-		}
-		deliver(f, marked)
-	})
+	n.eng.AtCall(arrival, n, 0, n.fly(fl))
+}
+
+// fly stores an in-flight packet in a free slot and returns its index.
+func (n *Network) fly(fl flight) uint64 {
+	i := n.flights.Take()
+	*n.flights.At(i) = fl
+	return i
+}
+
+// Handle implements sim.Handler: the tail of in-flight packet arg has
+// arrived. Its slot is freed before the receiver runs, so a receiver
+// that sends again can reuse it.
+func (n *Network) Handle(_ uint32, arg uint64) {
+	fl := n.flights.At(arg)
+	f, d, marked := fl.fault, fl.d, fl.marked
+	if fl.forced && f != FaultDrop {
+		f = FaultDrop
+		n.Dropped++
+	}
+	*fl = flight{}
+	n.flights.Free(arg)
+	d.To.Arrive(d.Op, d.Tag, f, marked)
 }
 
 // LinkBacklog reports how many cycles of already-committed traffic a new
@@ -399,7 +415,3 @@ func (n *Network) LinkBacklog(node, dir int) sim.Time {
 	}
 	return 0
 }
-
-// LinkBusy returns the accumulated occupancy of the link leaving node in
-// direction dir (0..5: +x,-x,+y,-y,+z,-z).
-func (n *Network) LinkBusy(node, dir int) sim.Time { return n.busy[node][dir] }

@@ -19,8 +19,8 @@ func TestShapeFor(t *testing.T) {
 		{2048, [3]int{16, 16, 8}},
 	}
 	for _, c := range cases {
-		got := ShapeFor(c.n)
-		if got[0]*got[1]*got[2] != c.n {
+		got, err := ShapeForErr(c.n)
+		if err != nil || got[0]*got[1]*got[2] != c.n {
 			t.Errorf("ShapeFor(%d) = %v, product != n", c.n, got)
 		}
 		if c.n <= 32 && got != c.want {
@@ -75,7 +75,7 @@ func TestDeliveryLatencyScalesWithHops(t *testing.T) {
 	eng.Spawn("sender", func(p *sim.Proc) {
 		for _, dst := range []int{1, 2, 3} {
 			dst := dst
-			n.Send(0, dst, 8, func() { times[dst] = eng.Now() })
+			n.Send(0, dst, 8, Control, Notify(func(Fault, bool) { times[dst] = eng.Now() }))
 		}
 	})
 	eng.Run()
@@ -88,7 +88,7 @@ func TestDeliveryLatencyScalesWithHops(t *testing.T) {
 		n2 := New(eng2, cfg)
 		var at sim.Time
 		eng2.Spawn("s", func(p *sim.Proc) {
-			n2.Send(0, dst, 8, func() { at = eng2.Now() })
+			n2.Send(0, dst, 8, Control, Notify(func(Fault, bool) { at = eng2.Now() }))
 		})
 		eng2.Run()
 		occ := cfg.HeaderOcc + cfg.FlitOcc // 8-byte payload
@@ -108,7 +108,7 @@ func TestLinkSerialization(t *testing.T) {
 	var arrivals []sim.Time
 	eng.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			n.Send(0, 1, 8, func() { arrivals = append(arrivals, eng.Now()) })
+			n.Send(0, 1, 8, Control, Notify(func(Fault, bool) { arrivals = append(arrivals, eng.Now()) }))
 		}
 	})
 	eng.Run()
@@ -130,8 +130,8 @@ func TestDisjointRoutesDoNotSerialize(t *testing.T) {
 	n := New(eng, cfg)
 	var a1, a2 sim.Time
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.Send(0, 1, 8, func() { a1 = eng.Now() })
-		n.Send(2, 3, 8, func() { a2 = eng.Now() })
+		n.Send(0, 1, 8, Control, Notify(func(Fault, bool) { a1 = eng.Now() }))
+		n.Send(2, 3, 8, Control, Notify(func(Fault, bool) { a2 = eng.Now() }))
 	})
 	eng.Run()
 	if a1 != a2 {
@@ -144,7 +144,7 @@ func TestSelfSendDelivers(t *testing.T) {
 	n := New(eng, DefaultConfig(8))
 	delivered := false
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.Send(3, 3, 8, func() { delivered = true })
+		n.Send(3, 3, 8, Control, Notify(func(Fault, bool) { delivered = true }))
 	})
 	eng.Run()
 	if !delivered {
@@ -208,12 +208,12 @@ func TestLinkBusyAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, cfg)
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.Send(0, 1, 8, func() {})
-		n.Send(0, 1, 8, func() {})
+		n.Send(0, 1, 8, Control, Notify(func(Fault, bool) {}))
+		n.Send(0, 1, 8, Control, Notify(func(Fault, bool) {}))
 	})
 	eng.Run()
 	occ := cfg.HeaderOcc + cfg.FlitOcc
-	if got := n.LinkBusy(0, 0) + n.LinkBusy(0, 1); got != 2*occ {
+	if got := n.busy[0][0] + n.busy[0][1]; got != 2*occ {
 		t.Errorf("link busy = %d, want %d", got, 2*occ)
 	}
 }
@@ -299,8 +299,8 @@ func TestFaultHookDataVsControl(t *testing.T) {
 	var dataFault Fault = -1
 	controlDelivered := false
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.SendData(0, 1, 8, func(f Fault) { dataFault = f })
-		n.Send(0, 1, 8, func() { controlDelivered = true })
+		n.Send(0, 1, 8, Data, Notify(func(f Fault, _ bool) { dataFault = f }))
+		n.Send(0, 1, 8, Control, Notify(func(Fault, bool) { controlDelivered = true }))
 	})
 	eng.Run()
 	if hook.seen != 1 {
@@ -328,7 +328,7 @@ func TestFaultHookCorruptStat(t *testing.T) {
 	n.SetFaultHook(&dropAll{verdict: FaultCorrupt})
 	got := FaultNone
 	eng.Spawn("s", func(p *sim.Proc) {
-		n.SendData(0, 1, 16, func(f Fault) { got = f })
+		n.Send(0, 1, 16, Data, Notify(func(f Fault, _ bool) { got = f }))
 	})
 	eng.Run()
 	if got != FaultCorrupt || n.Corrupted != 1 {

@@ -38,8 +38,8 @@ func (n *Network) FailLink(node, dir int) {
 	n.dead[node][dir] = true
 	n.deadLinks++
 	n.invalidateRoutes()
-	//lint:allow determinism every flight crossing the dead link gets the same forced mark; the set of marks and the counter total are order-independent
-	for _, fl := range n.flights {
+	for i := uint64(0); i < n.flights.Len(); i++ {
+		fl := n.flights.At(i)
 		if fl.forced {
 			continue
 		}
@@ -52,10 +52,6 @@ func (n *Network) FailLink(node, dir int) {
 		}
 	}
 }
-
-// LinkDead reports whether the link leaving node in direction dir has
-// hard-faulted.
-func (n *Network) LinkDead(node, dir int) bool { return n.dead[node][dir] }
 
 // DeadLinks returns the number of permanently failed links.
 func (n *Network) DeadLinks() int { return n.deadLinks }
@@ -299,22 +295,13 @@ func (n *Network) bfsRoute(src, dst int) ([][2]int, bool) {
 	return route, true
 }
 
-// flight tracks one in-flight data packet so a link dying mid-transit
-// can retroactively claim it.
+// flight is one in-flight packet: who hears its arrival, its payload
+// verdict and congestion mark, and — for a data packet — the route a
+// dying link can retroactively claim it on.
 type flight struct {
+	d      Delivery
 	route  [][2]int
+	fault  Fault
+	marked bool
 	forced bool // force-drop at delivery: a route link hard-faulted
-}
-
-// trackFlight registers a data packet and returns its id.
-func (n *Network) trackFlight(route [][2]int) int64 {
-	n.flightSeq++
-	n.flights[n.flightSeq] = &flight{route: route}
-	return n.flightSeq
-}
-
-// RerouteStats reports how many packets took a non-minimal path and the
-// total extra hops — the rerouted-hop inflation metric.
-func (n *Network) RerouteStats() (packets, extraHops int64) {
-	return n.ReroutedPackets, n.ExtraHops
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/net"
 	"repro/internal/sim"
 )
 
@@ -45,49 +46,32 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 	s.bltBusy = true
 	s.eng.Trace("shell.blt", "pe%d BLT dir=%d peer=%d %dB", s.pe, dir, peer, nbytes)
 
-	pace := s.cfg.BLTReadCycles
+	pace, srcPE, dstPE := s.cfg.BLTReadCycles, peer, s.pe
 	if dir == BLTWrite {
-		pace = s.cfg.BLTWriteCycles
+		pace, srcPE, dstPE = s.cfg.BLTWriteCycles, s.pe, peer
 	}
-	srcPE, dstPE := peer, s.pe
-	if dir == BLTWrite {
-		srcPE, dstPE = s.pe, peer
-	}
-
-	type chunkDesc struct {
-		src, dst int64
-		n        int64
-	}
-	var chunks []chunkDesc
-	local, remote := localOff, remoteOff
-	for left := nbytes; left > 0; left -= chunk {
-		n := chunk
-		if n > left {
-			n = left
-		}
-		src, dst := remote, local
-		if dir == BLTWrite {
-			src, dst = local, remote
-		}
-		chunks = append(chunks, chunkDesc{src, dst, n})
-		local += n
-		if remoteStride > 0 {
-			remote += remoteStride
-		} else {
-			remote += n
-		}
-	}
-
-	remaining := len(chunks)
+	remaining := (nbytes + chunk - 1) / chunk
 	s.eng.Spawn(fmt.Sprintf("blt-pe%d", s.pe), func(bp *sim.Proc) {
-		for _, ch := range chunks {
+		local, remote := localOff, remoteOff
+		for left := nbytes; left > 0; left -= chunk {
+			n := min(chunk, left)
+			src, dst := remote, local
+			if dir == BLTWrite {
+				src, dst = local, remote
+			}
+			local += n
+			if remoteStride > 0 {
+				remote += remoteStride
+			} else {
+				remote += n
+			}
 			// A link can hard-fault mid-transfer: re-verify the path per
 			// chunk so a partition aborts the engine proc with a
 			// structured error instead of stranding the transfer.
 			s.checkReachable(peer)
 			// Engine pacing: the DMA moves one chunk per pace interval,
 			// scaled for sub-chunk (strided) elements.
-			cycles := (pace*sim.Time(ch.n) + sim.Time(s.cfg.BLTChunk) - 1) / sim.Time(s.cfg.BLTChunk)
+			cycles := (pace*sim.Time(n) + sim.Time(s.cfg.BLTChunk) - 1) / sim.Time(s.cfg.BLTChunk)
 			if cycles < 8 {
 				cycles = 8
 			}
@@ -95,8 +79,7 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 			srcNode := s.node(srcPE)
 			// The DMA engine pipelines: it starts the source access and
 			// moves on; the packet departs when the data is ready.
-			complete, _ := srcNode.DRAM.ReadAccess(bp.Now(), ch.src)
-			src, dst, n := ch.src, ch.dst, ch.n
+			complete, _ := srcNode.DRAM.ReadAccess(bp.Now(), src)
 			s.eng.At(complete, func() {
 				data := make([]byte, n)
 				// The chunk streams through the SECDED pipe: singles are
@@ -105,7 +88,7 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 				// their destination copies — corruption never launders
 				// itself through a block transfer.
 				_, poisonedWords := srcNode.DRAM.ReadChecked(src, data)
-				s.fab.Net.Send(srcPE, dstPE, int(n), func() {
+				s.fab.Net.Send(srcPE, dstPE, int(n), net.Control, net.Notify(func(net.Fault, bool) {
 					dn := s.node(dstPE)
 					dn.DRAM.Write(dst, data)
 					for _, pw := range poisonedWords {
@@ -127,7 +110,7 @@ func (s *Shell) bltStart(p *sim.Proc, dir BLTDir, peer int, localOff, remoteOff,
 						s.eng.Trace("shell.blt", "pe%d BLT complete", s.pe)
 						s.bltSig.Fire(s.eng)
 					}
-				})
+				}))
 			})
 		}
 	})

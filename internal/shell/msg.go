@@ -3,6 +3,7 @@ package shell
 import (
 	"fmt"
 
+	"repro/internal/net"
 	"repro/internal/sim"
 )
 
@@ -23,9 +24,9 @@ func (s *Shell) SendMessage(p *sim.Proc, dest int, data [4]uint64) {
 	p.Wait(s.cfg.MsgSend)
 	s.eng.Trace("shell.msg", "pe%d send to pe%d", s.pe, dest)
 	m := Message{Src: s.pe, Data: data}
-	s.fab.Net.Send(s.pe, dest, s.cfg.MsgPayload, func() {
+	s.fab.Net.Send(s.pe, dest, s.cfg.MsgPayload, net.Control, net.Notify(func(net.Fault, bool) {
 		s.node(dest).Shell.receiveMessage(m)
-	})
+	}))
 }
 
 // receiveMessage models the expensive receive side: the arriving message

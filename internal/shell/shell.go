@@ -13,6 +13,7 @@ package shell
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -101,8 +102,13 @@ type Shell struct {
 	outstandingWrites int
 	writeChanged      *sim.Signal
 
-	pq    []*pqSlot
-	pqSig *sim.Signal
+	tx sim.Slots[tx] // outstanding remote transactions
+
+	// pq is the prefetch FIFO: a ring of PrefetchEntries slots, allocated
+	// on the first prefetch, pqLen of them in use from pqHead on.
+	pq            []pqSlot
+	pqHead, pqLen int
+	pqSig         *sim.Signal
 
 	// arrival fires whenever a remote write lands in this node's memory —
 	// the event a polling receiver's cache-invalidate would surface. The
@@ -288,37 +294,102 @@ func (s *Shell) RestoreRegs(r RegSnapshot) {
 	s.swapReg = r.Swap
 }
 
-// --- Remote reads ---
+// --- Remote transactions ---
+
+// txKind is the operation an outstanding transaction carries out.
+type txKind uint8
+
+const (
+	txReadWord txKind = iota // uncached read: one word back
+	txReadLine               // cached read: a line fill back
+	txPrefetch               // binding prefetch: a word into the FIFO
+	txFetchInc               // fetch&increment: a register value back
+	txSwap                   // atomic swap: the old word back
+	txWrite                  // remote write: an acknowledgement back
+)
+
+// requestBytes is each kind's request payload; a write carries its data.
+var requestBytes = [...]int{txReadWord: 8, txReadLine: 8, txPrefetch: 8, txFetchInc: 8, txSwap: 16}
+
+// tx is one slot of the shell's transaction table: an outstanding remote
+// operation. Every event and packet of the transaction names the slot by
+// its index, so its request/response chain runs on typed events. The
+// slot is freed when its last hold is dropped: the response (or ack)
+// being delivered, and for a blocking operation its issuing proc reading
+// the result. A proc interrupted mid-read therefore never sees its late
+// response land in a slot handed to a new read.
+type tx struct {
+	kind          txKind
+	holds         uint8
+	poisoned      bool
+	marked        bool
+	fault         net.Fault
+	pe, size, reg int   // remote node, response bytes, FI register or FIFO slot
+	off           int64 // remote offset: the word read or swapped, or the line written
+	corrected     int   // ECC corrections holding the response back
+	mask          uint32
+	val           uint64
+	data          [wbuf.LineSize]byte
+	done          sim.Signal // fired when the response is delivered
+}
+
+// Event and packet opcodes of a transaction, in the order they occur.
+const (
+	opInject   uint32 = iota // the request leaves this node's request port
+	opArrive                 // packet: the request reaches the remote node
+	opService                // the remote node reads memory or a register
+	opComplete               // a remote read access has completed
+	opRespond                // the response enters the remote response port
+	opRespSend               // the response leaves the remote response port
+	opReturn                 // packet: the response reaches this node
+	opFill                   // a prefetch response enters the FIFO
+)
+
+// issue copies t into a free slot of the transaction table, keeping the
+// slot's signal, and returns the slot's index.
+//
+//t3d:hotpath
+func (s *Shell) issue(t tx) uint64 {
+	i := s.tx.Take()
+	slot := s.tx.At(i)
+	t.done = slot.done
+	*slot = t
+	return i
+}
+
+// drop releases one hold on slot i and frees the slot with the last.
+func (s *Shell) drop(i uint64) {
+	t := s.tx.At(i)
+	if t.holds--; t.holds == 0 {
+		s.tx.Free(i)
+	}
+}
+
+// call runs a blocking transaction: it injects t's request after the
+// request-port cost, waits for the response, copies a line fill into
+// line, and pays accept cycles of acceptance.
+//
+//t3d:hotpath
+func (s *Shell) call(p *sim.Proc, t tx, line []byte, accept sim.Time, what string) (val uint64, poisoned bool) {
+	t.holds = 2 // the response and the waiting proc
+	i := s.issue(t)
+	defer s.drop(i)
+	r := s.tx.At(i)
+	r.done.SetName(what)
+	start := s.reqPort.Acquire(s.eng.Now(), s.cfg.ReqInject)
+	s.eng.AtCall(start+s.cfg.ReqInject, s, opInject, i)
+	p.WaitSignalDeadline(&r.done, what)
+	copy(line, r.data[:len(line)])
+	val, poisoned = r.val, r.poisoned
+	p.Wait(accept)
+	return val, poisoned
+}
 
 // ReadWord implements cpu.Remote: a blocking uncached remote read.
 //
 //t3d:hotpath
 func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
-	e := s.annex[addr.Annex(pa)]
-	s.checkReachable(e.PE)
-	off := addr.Offset(pa)
-	s.RemoteReads++
-	//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
-	s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, off)
-	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("readword")
-	var val uint64
-	var poisoned bool
-	//lint:allow hotalloc the read transaction's event chain: one injection continuation and one completion closure per outstanding read
-	s.startRead(e.PE, off, size, func(v uint64, _ []byte, poi bool) {
-		val, poisoned = v, poi
-		done.Fire(s.eng)
-	})
-	p.WaitSignalDeadline(done, "remote read")
-	p.Wait(s.cfg.RespAccept)
-	if poisoned {
-		// The response arrived but its payload is an uncorrectable
-		// memory error: trap on the requesting processor rather than
-		// hand garbage to the program.
-		//lint:allow hotalloc poison trap failure path; clean responses never allocate
-		panic(&mem.PoisonError{PE: e.PE, Addr: off})
-	}
-	return val
+	return s.read(p, pa, tx{kind: txReadWord, size: size}, nil)
 }
 
 // ReadLine implements cpu.Remote: a blocking cached remote read filling
@@ -327,84 +398,167 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 //
 //t3d:hotpath
 func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
+	s.read(p, pa, tx{kind: txReadLine, size: len(line)}, line)
+}
+
+// read runs an uncached read or a line fill of the remote word at pa.
+//
+//t3d:hotpath
+func (s *Shell) read(p *sim.Proc, pa int64, t tx, line []byte) uint64 {
 	e := s.annex[addr.Annex(pa)]
 	s.checkReachable(e.PE)
-	off := addr.Offset(pa)
+	t.pe, t.off = e.PE, addr.Offset(pa)
 	s.RemoteReads++
-	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("readline")
-	var poisoned bool
-	//lint:allow hotalloc the line-fill transaction's event chain: one injection continuation and one completion closure per outstanding read
-	s.startRead(e.PE, off, len(line), func(_ uint64, data []byte, poi bool) {
-		copy(line, data)
-		poisoned = poi
-		done.Fire(s.eng)
-	})
-	p.WaitSignalDeadline(done, "remote line fill")
-	p.Wait(s.cfg.RespAccept + s.cfg.CachedFillExtra)
-	if poisoned {
-		// Unwind before the caller can install the line in its cache.
-		//lint:allow hotalloc poison trap failure path; clean responses never allocate
-		panic(&mem.PoisonError{PE: e.PE, Addr: off})
+	accept, what := s.cfg.RespAccept+s.cfg.CachedFillExtra, "remote line fill"
+	if t.kind == txReadWord {
+		accept, what = s.cfg.RespAccept, "remote read"
+		//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
+		s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, t.off)
 	}
+	p.Wait(s.cfg.IssueExtra)
+	val, poisoned := s.call(p, t, line, accept, what)
+	if poisoned {
+		// The response arrived but its payload is an uncorrectable
+		// memory error: trap on the requesting processor rather than
+		// hand garbage to the program, or install the line in its cache.
+		//lint:allow hotalloc poison trap failure path; clean responses never allocate
+		panic(&mem.PoisonError{PE: e.PE, Addr: t.off})
+	}
+	return val
 }
 
-// startRead launches the request/response event chain for a remote read
-// of size bytes at off on node pe, paying the full request-injection cost.
-// finish runs at the moment the response tail arrives back at this node.
-func (s *Shell) startRead(pe int, off int64, size int, finish func(val uint64, data []byte, poisoned bool)) {
-	start := s.reqPort.Acquire(s.eng.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.sendReadRequest(pe, off, size, finish)
-	})
+// Arrive implements net.Receiver: a transaction's request reached the
+// remote node (opArrive) or its response came back (opReturn).
+func (s *Shell) Arrive(op uint32, tag uint64, f net.Fault, marked bool) {
+	t := s.tx.At(tag)
+	t.fault, t.marked = f, marked
+	s.Handle(op, tag)
 }
 
-// sendReadRequest is the post-injection half of startRead, used directly
-// by prefetch requests (which pay the cheaper FetchInject instead).
-func (s *Shell) sendReadRequest(pe int, off int64, size int, finish func(val uint64, data []byte, poisoned bool)) {
-	s.fab.Net.Send(s.pe, pe, 8, func() { // request carries the address
-		rn := s.node(pe)
-		t := s.eng.Now() + s.cfg.RemoteReadProc
-		service, complete, rowHit := rn.DRAM.ReadAccessTimes(t, off)
-		if !rowHit {
-			complete += s.cfg.RemoteRowMissExtra
+// Handle implements sim.Handler: one step of transaction arg's chain.
+// The requesting shell runs every step, those at the remote node too,
+// which it reaches through the slot's pe.
+func (s *Shell) Handle(op uint32, arg uint64) {
+	t := s.tx.At(arg)
+	rn := s.node(t.pe)
+	now := s.eng.Now()
+	switch op {
+	case opInject:
+		s.fab.Net.Send(s.pe, t.pe, requestBytes[t.kind], net.Control, net.Delivery{To: s, Op: opArrive, Tag: arg})
+	case opArrive:
+		switch t.kind {
+		case txFetchInc:
+			s.eng.AtCall(now+s.cfg.FIAccess, s, opService, arg)
+		case txSwap:
+			complete, _ := rn.DRAM.ReadAccess(now+s.cfg.SwapAccess, t.off)
+			s.eng.AtCall(complete, s, opService, arg)
+		case txWrite:
+			complete, _ := rn.DRAM.WriteAccess(now+s.cfg.WriteRemoteProc, t.off)
+			s.eng.AtCall(complete, s, opService, arg)
+		default:
+			service, complete, rowHit := rn.DRAM.ReadAccessTimes(now+s.cfg.RemoteReadProc, t.off)
+			if !rowHit {
+				complete += s.cfg.RemoteRowMissExtra
+			}
+			s.eng.AtCall(service, s, opService, arg)
+			s.eng.AtCall(complete, s, opComplete, arg)
 		}
-		data := make([]byte, size)
-		var val uint64
-		var corrected int
-		var poisoned bool
-		s.eng.At(service, func() {
-			// Latch the data when the bank samples the array, not when
-			// the full access completes — a concurrently queued write
-			// behind us at the bank must not leak into this read. The
-			// data streams through the SECDED pipe on its way out:
-			// single-bit faults are repaired (the response is held back
-			// ECCPenalty per correction), double-bit faults tag the
-			// response poisoned instead of trusting the bytes.
+	case opService: // the remote node's memory access or register read
+		switch t.kind {
+		case txFetchInc:
+			t.val = rn.Shell.fi[t.reg]
+			rn.Shell.fi[t.reg]++
+			s.Handle(opRespond, arg)
+		case txSwap:
+			// The read half goes through the SECDED pipe like any other
+			// read; the write half installs the new value regardless, which
+			// also clears the word's fault state.
+			old, _, poisoned := rn.DRAM.Read64Checked(t.off)
+			rn.DRAM.Write64(t.off, t.val)
+			if s.cfg.InvalidateMode {
+				rn.L1.Invalidate(t.off)
+			}
+			t.val, t.poisoned = old, poisoned
+			s.Handle(opRespond, arg)
+		case txWrite:
+			// Data is visible once the remote DRAM write completes; only the
+			// acknowledgement takes the longer pipeline back out. A transient
+			// fault damages the payload but not the envelope: a dropped
+			// payload writes nothing, a corrupted one writes bit-flipped
+			// bytes — in both cases the hardware still acknowledges, so only
+			// an end-to-end check can notice.
+			data := t.data
+			if t.fault == net.FaultCorrupt {
+				for k := range data {
+					data[k] ^= 0xA5
+				}
+			}
+			for lo, hi := wbuf.NextRun(t.mask, 0); lo < wbuf.LineSize && t.fault != net.FaultDrop; lo, hi = wbuf.NextRun(t.mask, hi) {
+				rn.DRAM.Write(t.off+int64(lo), data[lo:hi])
+			}
+			if s.cfg.InvalidateMode {
+				// Cache-invalidate mode: flush the target line on the owning
+				// node whether or not it is cached (§4.4).
+				rn.L1.Invalidate(t.off)
+			}
+			if t.marked {
+				rn.Shell.noteCongestion(s.pe)
+			}
+			rn.Shell.arrival.Fire(s.eng)
+			s.eng.AtCall(s.eng.Now()+s.cfg.WriteAckExtra, s, opRespond, arg)
+		default:
+			// Latch the data when the bank samples the array, not when the
+			// full access completes — a concurrently queued write behind us
+			// at the bank must not leak into this read. The data streams
+			// through the SECDED pipe on its way out: single-bit faults are
+			// repaired (the response is held back ECCPenalty per
+			// correction), double-bit faults tag the response poisoned
+			// instead of trusting the bytes.
 			var pw []int64
-			corrected, pw = rn.DRAM.ReadChecked(off, data)
-			poisoned = len(pw) > 0
-			switch size {
+			t.corrected, pw = rn.DRAM.ReadChecked(t.off, t.data[:t.size])
+			t.poisoned = len(pw) > 0
+			switch t.size {
 			case 8:
-				val = binary.LittleEndian.Uint64(data)
+				t.val = binary.LittleEndian.Uint64(t.data[:])
 			case 4:
-				val = uint64(binary.LittleEndian.Uint32(data))
+				t.val = uint64(binary.LittleEndian.Uint32(t.data[:]))
 			}
-		})
-		s.eng.At(complete, func() {
-			respond := func() {
-				rs := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(pe, s.pe, size, func() { finish(val, data, poisoned) })
-				})
-			}
-			if corrected > 0 {
-				s.eng.After(rn.DRAM.Config().ECCPenalty*sim.Time(corrected), respond)
-			} else {
-				respond()
-			}
-		})
-	})
+		}
+	case opComplete:
+		if t.corrected > 0 {
+			s.eng.AtCall(now+rn.DRAM.Config().ECCPenalty*sim.Time(t.corrected), s, opRespond, arg)
+		} else {
+			s.Handle(opRespond, arg)
+		}
+	case opRespond:
+		inj := s.cfg.RespInject
+		if t.kind == txWrite {
+			inj = s.cfg.AckInject
+		}
+		s.eng.AtCall(rn.Shell.respPort.Acquire(now, inj)+inj, s, opRespSend, arg)
+	case opRespSend:
+		s.fab.Net.Send(t.pe, s.pe, t.size, net.Control, net.Delivery{To: s, Op: opReturn, Tag: arg})
+	case opReturn:
+		switch t.kind {
+		case txWrite:
+			s.drop(arg)
+			s.outstandingWrites--
+			s.writeChanged.Fire(s.eng)
+		case txPrefetch:
+			// The response still pays the off-chip acceptance path on its
+			// way into the prefetch FIFO, plus the FIFO's own management
+			// cost.
+			s.eng.AtCall(now+s.cfg.RespAccept+s.cfg.PrefetchFillExtra, s, opFill, arg)
+		default:
+			t.done.Fire(s.eng)
+			s.drop(arg)
+		}
+	case opFill:
+		q := &s.pq[t.reg]
+		q.filled, q.val, q.poisoned = true, t.val, t.poisoned
+		s.drop(arg)
+		s.pqSig.Fire(s.eng)
+	}
 }
 
 // --- Remote writes and prefetch injection ---
@@ -427,12 +581,7 @@ func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
 	ae := s.annex[addr.Annex(e.LineAddr)]
 	s.checkReachable(ae.PE)
 	lineOff := addr.Offset(e.LineAddr)
-	nbytes := 0
-	for i := 0; i < wbuf.LineSize; i++ {
-		if e.Mask&(1<<uint(i)) != 0 {
-			nbytes++
-		}
-	}
+	nbytes := bits.OnesCount32(e.Mask)
 	flits := sim.Time((nbytes + 7) / 8)
 	inj := s.cfg.WriteHeader + flits*s.cfg.WriteFlit8
 	// Writes drain through their own injection path: loads bypass the
@@ -444,109 +593,71 @@ func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
 	s.outstandingWrites++
 	s.RemoteWrites++
 	s.eng.Trace("shell.write", "pe%d remote write pe%d+%#x (%dB)", s.pe, ae.PE, lineOff, nbytes)
-	entry := *e // snapshot: the buffer slot is reused after drain
-	s.fab.Net.SendDataEx(s.pe, ae.PE, nbytes, func(fault net.Fault, marked bool) {
-		rn := s.node(ae.PE)
-		t := s.eng.Now() + s.cfg.WriteRemoteProc
-		complete, _ := rn.DRAM.WriteAccess(t, lineOff)
-		s.eng.At(complete, func() {
-			// Data is visible once the remote DRAM write completes; only
-			// the acknowledgement takes the longer pipeline back out. A
-			// transient fault damages the payload but not the envelope:
-			// a dropped payload writes nothing, a corrupted one writes
-			// bit-flipped bytes — in both cases the hardware still
-			// acknowledges, so only an end-to-end check can notice.
-			switch fault {
-			case net.FaultDrop:
-				// Payload lost in flight.
-			case net.FaultCorrupt:
-				entry.Bytes(func(a int64, v byte) {
-					rn.DRAM.Write(addr.Offset(a), []byte{v ^ 0xA5})
-				})
-			default:
-				entry.Bytes(func(a int64, v byte) {
-					rn.DRAM.Write(addr.Offset(a), []byte{v})
-				})
-			}
-			if s.cfg.InvalidateMode {
-				// Cache-invalidate mode: flush the target line on the
-				// owning node whether or not it is cached (§4.4).
-				rn.L1.Invalidate(lineOff)
-			}
-			if marked {
-				rn.Shell.noteCongestion(s.pe)
-			}
-			rn.Shell.arrival.Fire(s.eng)
-			s.eng.After(s.cfg.WriteAckExtra, func() {
-				as := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.AckInject)
-				s.eng.At(as+s.cfg.AckInject, func() {
-					s.fab.Net.Send(ae.PE, s.pe, 0, func() {
-						s.outstandingWrites--
-						s.writeChanged.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
+	// The slot keeps the data: the buffer entry is reused after drain.
+	i := s.issue(tx{kind: txWrite, holds: 1, pe: ae.PE, off: lineOff, mask: e.Mask, data: e.Data})
+	s.fab.Net.Send(s.pe, ae.PE, nbytes, net.Data, net.Delivery{To: s, Op: opArrive, Tag: i})
 }
 
 func (s *Shell) injectFetch(p *sim.Proc, e *wbuf.Entry) {
 	ae := s.annex[addr.Annex(e.FetchAddr)]
 	s.checkReachable(ae.PE)
 	off := addr.Offset(e.FetchAddr)
-	if len(s.pq) >= s.cfg.PrefetchEntries {
+	if s.pqLen >= s.cfg.PrefetchEntries {
 		panic(fmt.Sprintf("shell: prefetch queue overflow on PE %d (>%d outstanding)",
 			s.pe, s.cfg.PrefetchEntries))
 	}
-	slot := &pqSlot{srcPE: ae.PE, addr: off}
-	s.pq = append(s.pq, slot)
+	if s.pq == nil {
+		s.pq = make([]pqSlot, s.cfg.PrefetchEntries)
+	}
+	slot := (s.pqHead + s.pqLen) % len(s.pq)
+	s.pq[slot] = pqSlot{srcPE: ae.PE, addr: off}
+	s.pqLen++
 	s.Prefetches++
-	s.eng.Trace("shell.prefetch", "pe%d prefetch pe%d+%#x (%d outstanding)", s.pe, ae.PE, off, len(s.pq))
+	s.eng.Trace("shell.prefetch", "pe%d prefetch pe%d+%#x (%d outstanding)", s.pe, ae.PE, off, s.pqLen)
 	start := s.storePort.Acquire(p.Now(), s.cfg.FetchInject)
 	p.WaitUntil(start + s.cfg.FetchInject)
-	s.sendReadRequest(ae.PE, off, 8, func(v uint64, _ []byte, poi bool) {
-		// The response still pays the off-chip acceptance path on its way
-		// into the prefetch FIFO, plus the FIFO's own management cost.
-		s.eng.After(s.cfg.RespAccept+s.cfg.PrefetchFillExtra, func() {
-			slot.filled = true
-			slot.val = v
-			slot.poisoned = poi
-			s.pqSig.Fire(s.eng)
-		})
-	})
+	// The cheaper FetchInject replaced the request-port cost.
+	s.Handle(opInject, s.issue(tx{kind: txPrefetch, holds: 1, pe: ae.PE, off: off, size: 8, reg: slot}))
 }
 
-// PopPrefetch pops the head of the prefetch FIFO: a 23-cycle
-// memory-mapped load (§5.2). It stalls until the head response has
-// arrived. Popping with nothing outstanding is a program error.
-func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
-	if len(s.pq) == 0 {
-		panic(fmt.Sprintf("shell: PE %d popped an empty prefetch queue", s.pe))
+// popPrefetch waits for the FIFO head's response, pays the 23-cycle
+// memory-mapped load (§5.2) and removes the head, trapping on a poisoned
+// response if trap is set.
+func (s *Shell) popPrefetch(p *sim.Proc, trap bool) uint64 {
+	head := &s.pq[s.pqHead]
+	for !head.filled {
+		p.WaitSignalDeadline(s.pqSig, "prefetch response")
 	}
-	head := s.pq[0]
-	sim.AwaitDeadline(p, s.pqSig, "prefetch response", func() bool { return head.filled })
 	p.Wait(s.cfg.PopCost)
-	s.pq = s.pq[1:]
-	if head.poisoned {
+	s.pqHead = (s.pqHead + 1) % len(s.pq)
+	s.pqLen--
+	if trap && head.poisoned {
 		panic(&mem.PoisonError{PE: head.srcPE, Addr: head.addr})
 	}
 	return head.val
+}
+
+// PopPrefetch pops the head of the prefetch FIFO, stalling until its
+// response has arrived. Popping with nothing outstanding is a program
+// error.
+func (s *Shell) PopPrefetch(p *sim.Proc) uint64 {
+	if s.pqLen == 0 {
+		panic(fmt.Sprintf("shell: PE %d popped an empty prefetch queue", s.pe))
+	}
+	return s.popPrefetch(p, true)
 }
 
 // DiscardPrefetches pops and drops every outstanding prefetch, poisoned
 // or not — the rollback path's drain, where the epoch's data is being
 // thrown away anyway and a poison trap would re-enter recovery.
 func (s *Shell) DiscardPrefetches(p *sim.Proc) {
-	for len(s.pq) > 0 {
-		head := s.pq[0]
-		sim.AwaitDeadline(p, s.pqSig, "prefetch response", func() bool { return head.filled })
-		p.Wait(s.cfg.PopCost)
-		s.pq = s.pq[1:]
+	for s.pqLen > 0 {
+		s.popPrefetch(p, false)
 	}
 }
 
 // PrefetchOutstanding reports the number of FIFO slots in use.
-func (s *Shell) PrefetchOutstanding() int { return len(s.pq) }
+func (s *Shell) PrefetchOutstanding() int { return s.pqLen }
 
 // --- Write-completion status ---
 
@@ -581,27 +692,7 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 	}
 	s.checkReachable(pe)
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("fi")
-	var val uint64
-	start := s.reqPort.Acquire(p.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.fab.Net.Send(s.pe, pe, 8, func() {
-			rsh := s.node(pe).Shell
-			s.eng.At(s.eng.Now()+s.cfg.FIAccess, func() {
-				v := rsh.fi[reg]
-				rsh.fi[reg]++
-				rs := rsh.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(pe, s.pe, 8, func() {
-						val = v
-						done.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
-	p.WaitSignalDeadline(done, "fetch&increment")
-	p.Wait(s.cfg.RespAccept)
+	val, _ := s.call(p, tx{kind: txFetchInc, pe: pe, reg: reg, size: 8}, nil, s.cfg.RespAccept, "fetch&increment")
 	return val
 }
 
@@ -620,37 +711,7 @@ func (s *Shell) Swap(p *sim.Proc, pa int64, v uint64) uint64 {
 	s.checkReachable(ae.PE)
 	off := addr.Offset(pa)
 	p.Wait(s.cfg.IssueExtra)
-	done := sim.NewSignal("swap")
-	var old uint64
-	var poisoned bool
-	start := s.reqPort.Acquire(p.Now(), s.cfg.ReqInject)
-	s.eng.At(start+s.cfg.ReqInject, func() {
-		s.fab.Net.Send(s.pe, ae.PE, 16, func() {
-			rn := s.node(ae.PE)
-			t := s.eng.Now() + s.cfg.SwapAccess
-			complete, _ := rn.DRAM.ReadAccess(t, off)
-			s.eng.At(complete, func() {
-				// The read half goes through the SECDED pipe like any
-				// other read; the write half installs v regardless,
-				// which also clears the word's fault state.
-				o, _, poi := rn.DRAM.Read64Checked(off)
-				rn.DRAM.Write64(off, v)
-				if s.cfg.InvalidateMode {
-					rn.L1.Invalidate(off)
-				}
-				rs := rn.Shell.respPort.Acquire(s.eng.Now(), s.cfg.RespInject)
-				s.eng.At(rs+s.cfg.RespInject, func() {
-					s.fab.Net.Send(ae.PE, s.pe, 8, func() {
-						old = o
-						poisoned = poi
-						done.Fire(s.eng)
-					})
-				})
-			})
-		})
-	})
-	p.WaitSignalDeadline(done, "atomic swap")
-	p.Wait(s.cfg.RespAccept)
+	old, poisoned := s.call(p, tx{kind: txSwap, pe: ae.PE, off: off, size: 8, val: v}, nil, s.cfg.RespAccept, "atomic swap")
 	if poisoned {
 		panic(&mem.PoisonError{PE: ae.PE, Addr: off})
 	}

@@ -421,3 +421,51 @@ func TestEurekaReset(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestInterruptedReadLateResponse: a proc interrupted while blocked in
+// ReadWord (a recovery rollback) leaves its read in flight. The read's
+// transaction slot stays taken until that response is delivered, so the
+// proc's next read gets a fresh slot and returns its own word — the late
+// response must not complete the new read.
+func TestInterruptedReadLateResponse(t *testing.T) {
+	eng, fab := testFabric(2)
+	fab.Nodes[1].DRAM.Write64(0x80, 0xAAAA)
+	fab.Nodes[1].DRAM.Write64(0x88, 0xBBBB)
+	s := fab.Nodes[0].Shell
+	var got uint64
+	var interrupted bool
+	var issuedAt, doneAt sim.Time
+	reader := eng.Spawn("reader", func(p *sim.Proc) {
+		s.SetAnnex(p, 1, 1, false)
+		func() {
+			defer func() { _, interrupted = recover().(sim.InterruptSignal) }()
+			s.ReadWord(p, 1<<27|0x80, 8)
+		}()
+		p.ClearInterrupt()
+		issuedAt = p.Now()
+		got = s.ReadWord(p, 1<<27|0x88, 8)
+		doneAt = p.Now()
+	})
+	eng.Spawn("rollback", func(p *sim.Proc) {
+		p.Wait(s.cfg.AnnexUpdate + s.cfg.IssueExtra + 10) // the first read is in flight
+		reader.Interrupt()
+	})
+	eng.Run()
+	if !interrupted {
+		t.Fatal("the first read was not interrupted")
+	}
+	if got != 0xBBBB {
+		t.Errorf("second read returned %#x, want 0xBBBB", got)
+	}
+	if want := s.cfg.IssueExtra + 80; doneAt-issuedAt < want {
+		t.Errorf("second read took %d cycles, want a full round trip (>= %d)", doneAt-issuedAt, want)
+	}
+	if n := s.tx.Len(); n != 2 {
+		t.Errorf("transaction table holds %d slots, want 2: the second read reused the in-flight slot", n)
+	}
+	for i := uint64(0); i < s.tx.Len(); i++ {
+		if h := s.tx.At(i).holds; h != 0 {
+			t.Errorf("slot %d still has %d holds after both responses", i, h)
+		}
+	}
+}

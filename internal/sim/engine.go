@@ -9,14 +9,37 @@ import (
 // Time is a point in simulated time, measured in cycles.
 type Time = int64
 
-// event is a scheduled occurrence: either a plain callback or the
-// resumption of a blocked proc.
+// Handler receives typed events. A component that schedules work on the
+// engine (a shell, the network) implements it once and names each event
+// by an opcode and an argument — typically an index into a fixed table
+// of outstanding transactions — instead of allocating a closure.
+type Handler interface {
+	Handle(op uint32, arg uint64)
+}
+
+// funcHandler is At's closure form of a Handler.
+type funcHandler func()
+
+func (f funcHandler) Handle(uint32, uint64) { f() }
+
+// wakeup resumes a proc; the event's arg is the wakeup generation.
+// RunErr dispatches it inline so a failing proc surfaces as an error.
+type wakeup struct{ p *Proc }
+
+func (w wakeup) Handle(_ uint32, epoch uint64) {
+	if err := w.p.eng.wake(w.p, epoch); err != nil {
+		panic(err)
+	}
+}
+
+// event is a scheduled occurrence, held by value in the heap: a handler
+// with its opcode and argument. A proc resumption is the wakeup handler.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break so equal-time events fire in schedule order
-	fn    func()
-	proc  *Proc
-	epoch uint64 // wakeup generation; stale if != proc.epoch
+	at  Time
+	seq uint64 // tie-break so equal-time events fire in schedule order
+	h   Handler
+	arg uint64
+	op  uint32
 }
 
 func (a *event) before(b *event) bool {
@@ -42,7 +65,7 @@ func (h *eventHeap) push(ev event) {
 func (h *eventHeap) pop() event {
 	s, n := *h, len(*h)-1
 	top, last := s[0], s[n]
-	s[n] = event{} // drop the callback and proc references
+	s[n] = event{} // drop the handler reference
 	s = s[:n]
 	*h = s
 	i := 0
@@ -107,19 +130,27 @@ func (e *Engine) Now() Time { return e.now }
 // the past. fn runs inline in the engine loop and must not block.
 //
 //t3d:hotpath
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		//lint:allow hotalloc misuse-panic path only; the steady-state schedule never formats
-		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.AtCall(t, funcHandler(fn), 0, 0) }
 
 // After schedules fn to run d cycles from now.
 //
 //t3d:hotpath
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+
+// AtCall schedules h.Handle(op, arg) at the given absolute time, which
+// must not be in the past. It is At without a closure: the event is
+// stored by value and takes the same sequence number At would, so the
+// two forms interleave in exactly the same order.
+//
+//t3d:hotpath
+func (e *Engine) AtCall(t Time, h Handler, op uint32, arg uint64) {
+	if t < e.now {
+		//lint:allow hotalloc misuse-panic path only; the steady-state schedule never formats
+		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
+	}
+	e.seq++
+	e.events.push(event{at: t, seq: e.seq, h: h, op: op, arg: arg})
+}
 
 // scheduleEpoch arranges for p to resume at time t, tagged with the wakeup
 // generation so stale events are skipped.
@@ -127,7 +158,24 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 //t3d:hotpath
 func (e *Engine) scheduleEpoch(p *Proc, t Time, epoch uint64) {
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, proc: p, epoch: epoch})
+	e.events.push(event{at: t, seq: e.seq, h: wakeup{p}, arg: epoch})
+}
+
+// wake resumes p for wakeup generation epoch unless the wakeup is stale,
+// and returns a *ProcFailure if p's body panicked with an error value.
+func (e *Engine) wake(p *Proc, epoch uint64) error {
+	if p.state == procDone || p.state == procRunning || epoch != p.epoch {
+		return nil // stale wakeup (finished proc or superseded event)
+	}
+	p.state = procRunning
+	p.epoch++ // invalidate any sibling wakeups for the old park
+	if r := p.resume(); r != nil {
+		if err, ok := r.(error); ok {
+			return &ProcFailure{Proc: p.name, Err: err}
+		}
+		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
+	}
+	return nil
 }
 
 // SpawnDaemon is like Spawn, but the proc is exempt from deadlock
@@ -300,21 +348,13 @@ func (e *Engine) RunErr() (Time, error) {
 				e.wdLast, e.wdCount = v, 0
 			}
 		}
-		if p := ev.proc; p != nil {
-			if p.state == procDone || p.state == procRunning || ev.epoch != p.epoch {
-				continue // stale wakeup (finished proc or superseded event)
-			}
-			p.state = procRunning
-			p.epoch++ // invalidate any sibling wakeups for the old park
-			if r := p.resume(); r != nil {
-				if err, ok := r.(error); ok {
-					return e.now, &ProcFailure{Proc: p.name, Err: err}
-				}
-				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
+		if w, ok := ev.h.(wakeup); ok {
+			if err := e.wake(w.p, ev.arg); err != nil {
+				return e.now, err
 			}
 			continue
 		}
-		ev.fn()
+		ev.h.Handle(ev.op, ev.arg)
 	}
 
 	var stuck []BlockedProc

@@ -256,11 +256,12 @@ type waiter struct {
 	epoch uint64
 }
 
-// NewSignal returns a named signal.
-//
-//t3d:hotpath
-//lint:allow hotalloc one signal object per outstanding transaction; header pooling is the ROADMAP item-1 follow-up
+// NewSignal returns a named signal. The zero Signal is an unnamed signal
+// ready to use, so a table of transactions can embed one per slot.
 func NewSignal(name string) *Signal { return &Signal{name: name} }
+
+// SetName names the signal in deadlock reports.
+func (s *Signal) SetName(name string) { s.name = name }
 
 // Fire wakes all procs currently blocked on the signal. The wakeups are
 // scheduled at the current time and run in blocking order.

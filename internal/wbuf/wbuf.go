@@ -24,6 +24,7 @@ package wbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -55,14 +56,16 @@ type Entry struct {
 	draining bool
 }
 
-// Bytes returns the valid (addr, value) pairs of a write entry in
-// ascending address order.
-func (e *Entry) Bytes(fn func(addr int64, v byte)) {
-	for i := 0; i < LineSize; i++ {
-		if e.Mask&(1<<uint(i)) != 0 {
-			fn(e.LineAddr+int64(i), e.Data[i])
-		}
+// NextRun returns the first contiguous run [lo, hi) of valid bytes in a
+// write mask at or after offset from; lo is LineSize when none is left.
+// A drained write lands as one memory write per run.
+func NextRun(mask uint32, from int) (lo, hi int) {
+	m := mask >> uint(from)
+	if from >= LineSize || m == 0 {
+		return LineSize, LineSize
 	}
+	lo = from + bits.TrailingZeros32(m)
+	return lo, lo + bits.TrailingZeros32(^(mask >> uint(lo)))
 }
 
 // Sink disposes of one drained entry, blocking p for however long the
@@ -74,11 +77,11 @@ type Sink interface {
 
 // Buffer is the write buffer of one node.
 type Buffer struct {
-	eng      *sim.Engine
-	capacity int
-	sink     Sink
-	entries  []*Entry
-	changed  *sim.Signal // fired on every push and pop
+	eng     *sim.Engine
+	sink    Sink
+	ring    []Entry // one slot per hardware entry; n occupied from head on
+	head, n int
+	changed *sim.Signal // fired on every push and pop
 
 	// Stats for probes and tests.
 	Pushes, Merges, FullStalls int64
@@ -91,10 +94,10 @@ func New(eng *sim.Engine, capacity int, sink Sink) *Buffer {
 		panic("wbuf: capacity must be positive")
 	}
 	return &Buffer{
-		eng:      eng,
-		capacity: capacity,
-		sink:     sink,
-		changed:  sim.NewSignal("wbuf.changed"),
+		eng:     eng,
+		sink:    sink,
+		ring:    make([]Entry, capacity),
+		changed: sim.NewSignal("wbuf.changed"),
 	}
 }
 
@@ -105,20 +108,26 @@ func (b *Buffer) Start(name string) {
 
 func (b *Buffer) drainLoop(p *sim.Proc) {
 	for {
-		sim.Await(p, b.changed, func() bool { return len(b.entries) > 0 })
-		e := b.entries[0]
+		for b.n == 0 {
+			p.WaitSignal(b.changed)
+		}
+		e := &b.ring[b.head]
 		e.draining = true
 		b.sink.Drain(p, e)
-		b.entries = b.entries[1:]
+		b.head = (b.head + 1) % len(b.ring)
+		b.n--
 		b.changed.Fire(b.eng)
 	}
 }
 
+// slot returns the i-th occupied entry, oldest first.
+func (b *Buffer) slot(i int) *Entry { return &b.ring[(b.head+i)%len(b.ring)] }
+
 // Len reports the number of occupied slots.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return b.n }
 
 // Empty reports whether the buffer is drained.
-func (b *Buffer) Empty() bool { return len(b.entries) == 0 }
+func (b *Buffer) Empty() bool { return b.n == 0 }
 
 // PushWrite inserts a store of data at addr, blocking p if the buffer is
 // full. Stores to a line with an existing, not-yet-draining write entry
@@ -137,24 +146,21 @@ func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
 		panic(fmt.Sprintf("wbuf: write at %#x crosses a line boundary", addr))
 	}
 	b.Pushes++
-	for _, e := range b.entries {
-		if e.Kind == KindWrite && e.LineAddr == line && !e.draining {
-			copy(e.Data[off:], data)
-			for i := range data {
-				e.Mask |= 1 << uint(off+int64(i))
-			}
+	for i := 0; i < b.n; i++ {
+		if s := b.slot(i); s.Kind == KindWrite && s.LineAddr == line && !s.draining {
+			copy(s.Data[off:], data)
+			s.Mask |= mask(off, len(data))
 			b.Merges++
 			return
 		}
 	}
-	//lint:allow hotalloc one entry per distinct in-flight line; merging reuses entries and slots recycle on drain
-	e := &Entry{Kind: KindWrite, LineAddr: line}
+	e := Entry{Kind: KindWrite, LineAddr: line, Mask: mask(off, len(data))}
 	copy(e.Data[off:], data)
-	for i := range data {
-		e.Mask |= 1 << uint(off+int64(i))
-	}
 	b.pushSlot(p, e)
 }
+
+// mask is the valid-byte mask of n bytes at line offset off.
+func mask(off int64, n int) uint32 { return (1<<uint(n) - 1) << uint(off) }
 
 // PushFetch inserts a binding-prefetch request for the word at addr,
 // blocking p if the buffer is full. Fetch entries never merge.
@@ -162,20 +168,19 @@ func (b *Buffer) PushWrite(p *sim.Proc, addr int64, data []byte) {
 //t3d:hotpath
 func (b *Buffer) PushFetch(p *sim.Proc, addr int64) {
 	b.Pushes++
-	//lint:allow hotalloc one entry per outstanding prefetch; slots recycle on drain
-	e := &Entry{Kind: KindFetch, LineAddr: addr &^ (LineSize - 1), FetchAddr: addr}
-	b.pushSlot(p, e)
+	b.pushSlot(p, Entry{Kind: KindFetch, LineAddr: addr &^ (LineSize - 1), FetchAddr: addr})
 }
 
 //t3d:hotpath
-func (b *Buffer) pushSlot(p *sim.Proc, e *Entry) {
-	if len(b.entries) >= b.capacity {
+func (b *Buffer) pushSlot(p *sim.Proc, e Entry) {
+	if b.n >= len(b.ring) {
 		b.FullStalls++
-		//lint:allow hotalloc wait closure built only on the full-stall slow path
-		sim.Await(p, b.changed, func() bool { return len(b.entries) < b.capacity })
+		for b.n >= len(b.ring) {
+			p.WaitSignal(b.changed)
+		}
 	}
-	//lint:allow hotalloc amortized slot store; the backing array is reused across drains
-	b.entries = append(b.entries, e)
+	*b.slot(b.n) = e
+	b.n++
 	b.changed.Fire(b.eng)
 }
 
@@ -184,11 +189,9 @@ func (b *Buffer) pushSlot(p *sim.Proc, e *Entry) {
 //
 //t3d:hotpath
 func (b *Buffer) WaitEmpty(p *sim.Proc) {
-	if len(b.entries) == 0 {
-		return // drained fast path: no closure, no wait
+	for b.n > 0 {
+		p.WaitSignal(b.changed)
 	}
-	//lint:allow hotalloc wait closure built only when entries are still draining
-	sim.Await(p, b.changed, func() bool { return len(b.entries) == 0 })
 }
 
 // ConflictsWith reports whether a pending write entry covers the line
@@ -196,8 +199,8 @@ func (b *Buffer) WaitEmpty(p *sim.Proc) {
 // synonyms escape it — deliberately, to match the hardware hazard.
 func (b *Buffer) ConflictsWith(addr int64) bool {
 	line := addr &^ (LineSize - 1)
-	for _, e := range b.entries {
-		if e.Kind == KindWrite && e.LineAddr == line {
+	for i := 0; i < b.n; i++ {
+		if e := b.slot(i); e.Kind == KindWrite && e.LineAddr == line {
 			return true
 		}
 	}
@@ -209,9 +212,7 @@ func (b *Buffer) ConflictsWith(addr int64) bool {
 //
 //t3d:hotpath
 func (b *Buffer) WaitNoConflict(p *sim.Proc, addr int64) {
-	if !b.ConflictsWith(addr) {
-		return // conflict-free fast path: no closure, no wait
+	for b.ConflictsWith(addr) {
+		p.WaitSignal(b.changed)
 	}
-	//lint:allow hotalloc wait closure built only on the conflict-stall slow path
-	sim.Await(p, b.changed, func() bool { return !b.ConflictsWith(addr) })
 }

@@ -1,6 +1,7 @@
 package wbuf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -171,14 +172,24 @@ func TestFetchEntriesDoNotMerge(t *testing.T) {
 }
 
 func TestEntryBytes(t *testing.T) {
-	e := &Entry{Kind: KindWrite, LineAddr: 0x200}
-	e.Data[4] = 0xAA
-	e.Data[9] = 0xBB
-	e.Mask = 1<<4 | 1<<9
-	var got []int64
-	e.Bytes(func(addr int64, v byte) { got = append(got, addr) })
-	if len(got) != 2 || got[0] != 0x204 || got[1] != 0x209 {
-		t.Errorf("Bytes visited %v", got)
+	cases := []struct {
+		mask uint32
+		want [][2]int
+	}{
+		{1<<4 | 1<<9, [][2]int{{4, 5}, {9, 10}}},
+		{0xF0 | 0x7<<12, [][2]int{{4, 8}, {12, 15}}},
+		{0xFFFFFFFF, [][2]int{{0, 32}}},
+		{1 << 31, [][2]int{{31, 32}}},
+		{0, nil},
+	}
+	for _, c := range cases {
+		var got [][2]int
+		for lo, hi := NextRun(c.mask, 0); lo < LineSize; lo, hi = NextRun(c.mask, hi) {
+			got = append(got, [2]int{lo, hi})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("mask %#x: runs %v, want %v", c.mask, got, c.want)
+		}
 	}
 }
 
@@ -217,7 +228,11 @@ func TestPropertyMergedBytesMatchProgramOrder(t *testing.T) {
 		got := map[int64]byte{}
 		for _, rec := range sink.drained {
 			e := rec.e
-			e.Bytes(func(a int64, v byte) { got[a] = v })
+			for lo, hi := NextRun(e.Mask, 0); lo < LineSize; lo, hi = NextRun(e.Mask, hi) {
+				for i := lo; i < hi; i++ {
+					got[e.LineAddr+int64(i)] = e.Data[i]
+				}
+			}
 		}
 		if len(got) != len(want) {
 			return false
