@@ -270,15 +270,13 @@ func (n *Network) occupancy(payloadBytes int) sim.Time {
 	return n.cfg.HeaderOcc + flits*n.cfg.FlitOcc
 }
 
-// Class says whether a packet carries data the fault hook may damage.
+// Class says what a packet carries. A Data packet consults the fault
+// hook, can be claimed by a dying link and carries the congestion mark;
+// a Control packet (request, response, acknowledgement) never faults.
 type Class uint8
 
 const (
-	// Control packets (read requests, responses, acknowledgements) are
-	// never faulted.
 	Control Class = iota
-	// Data packets consult the fault hook, can be claimed by a dying
-	// link, and carry the congestion mark.
 	Data
 )
 

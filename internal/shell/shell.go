@@ -345,16 +345,16 @@ const (
 	opFill                   // a prefetch response enters the FIFO
 )
 
-// issue copies t into a free slot of the transaction table, keeping the
-// slot's signal, and returns the slot's index.
+// issue takes a free slot of the transaction table for an operation on
+// node pe at off, with holds holds, and returns it cleared but for its
+// signal.
 //
 //t3d:hotpath
-func (s *Shell) issue(t tx) uint64 {
+func (s *Shell) issue(kind txKind, holds uint8, pe int, off int64) (uint64, *tx) {
 	i := s.tx.Take()
-	slot := s.tx.At(i)
-	t.done = slot.done
-	*slot = t
-	return i
+	t := s.tx.At(i)
+	*t = tx{kind: kind, holds: holds, pe: pe, off: off, done: t.done}
+	return i, t
 }
 
 // drop releases one hold on slot i and frees the slot with the last.
@@ -365,22 +365,20 @@ func (s *Shell) drop(i uint64) {
 	}
 }
 
-// call runs a blocking transaction: it injects t's request after the
+// call completes blocking transaction i, issued with two holds (its
+// response and the waiting proc): it injects the request after the
 // request-port cost, waits for the response, copies a line fill into
 // line, and pays accept cycles of acceptance.
 //
 //t3d:hotpath
-func (s *Shell) call(p *sim.Proc, t tx, line []byte, accept sim.Time, what string) (val uint64, poisoned bool) {
-	t.holds = 2 // the response and the waiting proc
-	i := s.issue(t)
+func (s *Shell) call(p *sim.Proc, i uint64, t *tx, line []byte, accept sim.Time, what string) (val uint64, poisoned bool) {
 	defer s.drop(i)
-	r := s.tx.At(i)
-	r.done.SetName(what)
+	t.done.SetName(what)
 	start := s.reqPort.Acquire(s.eng.Now(), s.cfg.ReqInject)
 	s.eng.AtCall(start+s.cfg.ReqInject, s, opInject, i)
-	p.WaitSignalDeadline(&r.done, what)
-	copy(line, r.data[:len(line)])
-	val, poisoned = r.val, r.poisoned
+	p.WaitSignalDeadline(&t.done, what)
+	copy(line, t.data[:len(line)])
+	val, poisoned = t.val, t.poisoned
 	p.Wait(accept)
 	return val, poisoned
 }
@@ -389,7 +387,7 @@ func (s *Shell) call(p *sim.Proc, t tx, line []byte, accept sim.Time, what strin
 //
 //t3d:hotpath
 func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
-	return s.read(p, pa, tx{kind: txReadWord, size: size}, nil)
+	return s.read(p, pa, txReadWord, size, nil)
 }
 
 // ReadLine implements cpu.Remote: a blocking cached remote read filling
@@ -398,31 +396,33 @@ func (s *Shell) ReadWord(p *sim.Proc, pa int64, size int) uint64 {
 //
 //t3d:hotpath
 func (s *Shell) ReadLine(p *sim.Proc, pa int64, line []byte) {
-	s.read(p, pa, tx{kind: txReadLine, size: len(line)}, line)
+	s.read(p, pa, txReadLine, len(line), line)
 }
 
 // read runs an uncached read or a line fill of the remote word at pa.
 //
 //t3d:hotpath
-func (s *Shell) read(p *sim.Proc, pa int64, t tx, line []byte) uint64 {
+func (s *Shell) read(p *sim.Proc, pa int64, kind txKind, size int, line []byte) uint64 {
 	e := s.annex[addr.Annex(pa)]
 	s.checkReachable(e.PE)
-	t.pe, t.off = e.PE, addr.Offset(pa)
+	off := addr.Offset(pa)
 	s.RemoteReads++
 	accept, what := s.cfg.RespAccept+s.cfg.CachedFillExtra, "remote line fill"
-	if t.kind == txReadWord {
+	if kind == txReadWord {
 		accept, what = s.cfg.RespAccept, "remote read"
 		//lint:allow hotalloc the tracer's variadic boxes on every read; a zero-cost disarmed Trace is the ROADMAP item-1 follow-up
-		s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, t.off)
+		s.eng.Trace("shell.read", "pe%d uncached read pe%d+%#x", s.pe, e.PE, off)
 	}
 	p.Wait(s.cfg.IssueExtra)
-	val, poisoned := s.call(p, t, line, accept, what)
+	i, t := s.issue(kind, 2, e.PE, off)
+	t.size = size
+	val, poisoned := s.call(p, i, t, line, accept, what)
 	if poisoned {
 		// The response arrived but its payload is an uncorrectable
 		// memory error: trap on the requesting processor rather than
 		// hand garbage to the program, or install the line in its cache.
 		//lint:allow hotalloc poison trap failure path; clean responses never allocate
-		panic(&mem.PoisonError{PE: e.PE, Addr: t.off})
+		panic(&mem.PoisonError{PE: e.PE, Addr: off})
 	}
 	return val
 }
@@ -594,7 +594,8 @@ func (s *Shell) injectWrite(p *sim.Proc, e *wbuf.Entry) {
 	s.RemoteWrites++
 	s.eng.Trace("shell.write", "pe%d remote write pe%d+%#x (%dB)", s.pe, ae.PE, lineOff, nbytes)
 	// The slot keeps the data: the buffer entry is reused after drain.
-	i := s.issue(tx{kind: txWrite, holds: 1, pe: ae.PE, off: lineOff, mask: e.Mask, data: e.Data})
+	i, t := s.issue(txWrite, 1, ae.PE, lineOff)
+	t.mask, t.data = e.Mask, e.Data
 	s.fab.Net.Send(s.pe, ae.PE, nbytes, net.Data, net.Delivery{To: s, Op: opArrive, Tag: i})
 }
 
@@ -617,7 +618,9 @@ func (s *Shell) injectFetch(p *sim.Proc, e *wbuf.Entry) {
 	start := s.storePort.Acquire(p.Now(), s.cfg.FetchInject)
 	p.WaitUntil(start + s.cfg.FetchInject)
 	// The cheaper FetchInject replaced the request-port cost.
-	s.Handle(opInject, s.issue(tx{kind: txPrefetch, holds: 1, pe: ae.PE, off: off, size: 8, reg: slot}))
+	i, t := s.issue(txPrefetch, 1, ae.PE, off)
+	t.size, t.reg = 8, slot
+	s.Handle(opInject, i)
 }
 
 // popPrefetch waits for the FIFO head's response, pays the 23-cycle
@@ -692,7 +695,9 @@ func (s *Shell) FetchInc(p *sim.Proc, pe, reg int) uint64 {
 	}
 	s.checkReachable(pe)
 	p.Wait(s.cfg.IssueExtra)
-	val, _ := s.call(p, tx{kind: txFetchInc, pe: pe, reg: reg, size: 8}, nil, s.cfg.RespAccept, "fetch&increment")
+	i, t := s.issue(txFetchInc, 2, pe, 0)
+	t.size, t.reg = 8, reg
+	val, _ := s.call(p, i, t, nil, s.cfg.RespAccept, "fetch&increment")
 	return val
 }
 
@@ -711,7 +716,9 @@ func (s *Shell) Swap(p *sim.Proc, pa int64, v uint64) uint64 {
 	s.checkReachable(ae.PE)
 	off := addr.Offset(pa)
 	p.Wait(s.cfg.IssueExtra)
-	old, poisoned := s.call(p, tx{kind: txSwap, pe: ae.PE, off: off, size: 8, val: v}, nil, s.cfg.RespAccept, "atomic swap")
+	i, t := s.issue(txSwap, 2, ae.PE, off)
+	t.size, t.val = 8, v
+	old, poisoned := s.call(p, i, t, nil, s.cfg.RespAccept, "atomic swap")
 	if poisoned {
 		panic(&mem.PoisonError{PE: ae.PE, Addr: off})
 	}
