@@ -288,7 +288,7 @@ func (d *dropAll) PacketFault(src, dst, payloadBytes int, route [][2]int, hopTim
 }
 
 func TestFaultHookDataVsControl(t *testing.T) {
-	// The hook sees SendData packets but never Send (control) packets,
+	// The hook sees Data packets but never Control packets,
 	// and the envelope still arrives on time either way.
 	cfg := DefaultConfig(2)
 	cfg.Shape = [3]int{2, 1, 1}
