@@ -81,6 +81,7 @@ type Buffer struct {
 	sink    Sink
 	ring    []Entry // one slot per hardware entry; n occupied from head on
 	head, n int
+	slots   [4]Entry    // the ring's storage at the 21064's depth and below
 	changed *sim.Signal // fired on every push and pop
 
 	// Stats for probes and tests.
@@ -93,12 +94,12 @@ func New(eng *sim.Engine, capacity int, sink Sink) *Buffer {
 	if capacity <= 0 {
 		panic("wbuf: capacity must be positive")
 	}
-	return &Buffer{
-		eng:     eng,
-		sink:    sink,
-		ring:    make([]Entry, capacity),
-		changed: sim.NewSignal("wbuf.changed"),
+	b := &Buffer{eng: eng, sink: sink, changed: sim.NewSignal("wbuf.changed")}
+	b.ring = b.slots[:min(capacity, len(b.slots))]
+	if capacity > len(b.slots) {
+		b.ring = make([]Entry, capacity)
 	}
+	return b
 }
 
 // Start spawns the drain daemon. Call exactly once.
